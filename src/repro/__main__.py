@@ -368,7 +368,7 @@ def _run_deploy_command(args: argparse.Namespace) -> int:
         return 2
     try:
         spec = _resolve_scenario(args.scenario, args.seed)
-    except FileNotFoundError as error:
+    except (FileNotFoundError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     config = _campaign_config(args, seed=spec.seed)

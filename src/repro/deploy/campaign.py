@@ -41,8 +41,10 @@ def region_job_specs(
 
     A non-empty ``fault_plan`` rides along as a ``faults`` param (its
     canonical JSON, folded into each job's content fingerprint — armed
-    and unarmed runs can never collide in the result cache).  ``None``
-    or an empty plan adds nothing, so unarmed job fingerprints are
+    and unarmed runs can never collide in the result cache), tagged
+    ``energy=metered`` so cache entries from when armed regions reported
+    battery-delta energy are recomputed, not served.  ``None`` or an
+    empty plan adds nothing, so unarmed job fingerprints are
     byte-identical to runs with the fault machinery absent.
     """
     if part is None:
@@ -51,6 +53,7 @@ def region_job_specs(
     params: "dict[str, object]" = {"scenario": scenario_json}
     if fault_plan is not None and not fault_plan.is_empty:
         params["faults"] = fault_plan.to_json()
+        params["energy"] = "metered"
     return [
         JobSpec.with_params(
             "deploy.region",

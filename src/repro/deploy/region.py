@@ -3,14 +3,24 @@
 A region (:class:`~repro.deploy.partition.Region`) is a set of hubs with
 no RF path to the rest of the city, so it simulates independently.
 Inside the region each hub runs a full packet-level
-:class:`~repro.net.session.HubSession` — its own DES kernel, TDMA
-rotation, shared hub battery and per-client offload controllers — while
-cross-hub coupling enters through the channel model: a hub that shares a
-reuse channel with a neighbor sees that neighbor's TDMA bursts as a
+:class:`~repro.net.session.HubSession` — TDMA rotation, shared hub
+battery and per-client offload controllers — while cross-hub coupling
+enters through the channel model: a hub that shares a reuse channel
+with a neighbor sees that neighbor's TDMA bursts as a
 :class:`~repro.sim.interference.BurstyInterferer`, attenuated by the
 hub-to-hub path loss, on every one of its client links
 (:class:`~repro.sim.interference.InterferedLink`).  Orthogonal or
 isolated hubs keep the fast memoizing :class:`~repro.sim.link.SimulatedLink`.
+
+One routine (:func:`_run_hubs`) runs any set of a region's hubs on one
+DES kernel: unarmed hubs never interact, so each gets its own; a fault
+plan can hand devices between hubs, so an armed region shares one.
+Grouping changes speed, never a reported byte.  Energy is *metered air
+energy* on every path — ``client_energy_j`` sums the devices'
+``energy_a_j`` deltas over the measured window (twins a neighbor adopted
+included: attribution follows the device home) and ``hub_energy_j`` is
+the hub's ``energy_b_j`` delta; Table 5 switch costs and fault drains
+are not metered.
 
 Churn runs *through the DES*: each device's join/leave/sleep timeline is
 pre-sampled from its own content-addressed stream and compiled into
@@ -26,9 +36,10 @@ bit-identical at any worker count, chunking, execution order or resume.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Sequence
 
 from ..core.braidio import BraidioRadio
 from ..core.modes import LinkMode
@@ -42,6 +53,7 @@ from ..phy.propagation import log_distance_path_loss_db
 from ..sim.interference import BurstyInterferer, InterferedLink
 from ..sim.link import SimulatedLink
 from ..sim.mobility import MobilityDriver, RandomWaypoint1D
+from ..sim.policies import BraidioPolicy
 from ..sim.simulator import Simulator
 from .partition import Region, quantize_distance
 from .spec import ChurnProcess, DeploymentSpec
@@ -204,23 +216,80 @@ def _lp_upper_bound(
 
 @dataclass
 class _HubRuntime:
-    """One hub's live simulation objects, kernel-agnostic.
-
-    Built identically whether the hub runs on its own private kernel
-    (the unarmed fast path) or shares one region kernel with its
-    neighbors (the fault-armed path, where mid-run hub-to-hub handoff
-    needs every session on the same timeline).
-    """
+    """One hub's live simulation objects, kernel-agnostic, plus the
+    counters its measured window starts from."""
 
     local_index: int
     global_index: int
     plans: "tuple[DevicePlan, ...]"
     clients: "list[HubClient]"
     session: HubSession
-    hub_radio: BraidioRadio
     drivers: "list[MobilityDriver]"
     interfered: bool
     neighbor_count: int
+    #: Twin clients neighbor hubs adopted for this hub's devices; their
+    #: air energy counts here, at the device's home hub.
+    twins: "list[HubClient]" = field(default_factory=list)
+    window_start: "tuple[int, int, int, float, list[float]] | None" = None
+
+    def open_window(self) -> None:
+        """Snapshot the counters at the start of the measured window."""
+        metrics = self.session.hub_metrics
+        self.window_start = (
+            metrics.bits_delivered,
+            metrics.packets_delivered,
+            metrics.packets_attempted,
+            metrics.energy_b_j,
+            [client.metrics.energy_a_j for client in self.clients + self.twins],
+        )
+
+    def report(
+        self,
+        spec: DeploymentSpec,
+        region: Region,
+        link_map: LinkMap,
+        resilience: "dict[str, object] | None",
+    ) -> "dict[str, object]":
+        """The hub's measured-window report (resilience keys only when
+        armed)."""
+        session = self.session
+        metrics = session.hub_metrics
+        bits0, delivered0, attempted0, hub_j0, client_j0 = self.window_start  # type: ignore[misc]
+        bits = metrics.bits_delivered - bits0
+        delivered = metrics.packets_delivered - delivered0
+        attempted = metrics.packets_attempted - attempted0
+        # Twins adopted after the window opened start it at zero.
+        client_energy = 0.0
+        for client, start_j in itertools.zip_longest(
+            self.clients + self.twins, client_j0, fillvalue=0.0
+        ):
+            client_energy += client.metrics.energy_a_j - start_j  # type: ignore[union-attr]
+        report: "dict[str, object]" = {
+            "hub": self.global_index,
+            "region": region.index,
+            "channel": region.channels[self.local_index],
+            "devices": len(self.plans),
+            "co_channel_neighbors": self.neighbor_count,
+            "interfered": self.interfered,
+            "bits_delivered": int(bits),
+            "packets_delivered": int(delivered),
+            "packets_attempted": int(attempted),
+            "delivery_ratio": (delivered / attempted) if attempted else 1.0,
+            "goodput_bps": bits / spec.duration_s,
+            "client_energy_j": client_energy,
+            "hub_energy_j": metrics.energy_b_j - hub_j0,
+            "suspensions": session.churn_suspensions,
+            "resumes": session.churn_resumes,
+            "suspended_s": session.suspended_time_s,
+            "terminated_by": metrics.terminated_by,
+        }
+        if resilience is not None:
+            report["fault_events"] = metrics.fault_events
+            report["reboots"] = metrics.reboots
+            report.update(resilience)
+        if spec.lp_plan:
+            report["lp_bits"] = _lp_upper_bound(spec, self.plans, link_map)
+        return report
 
 
 def _build_hub(
@@ -259,8 +328,6 @@ def _build_hub(
     clients: "list[HubClient]" = []
     weights: "dict[str, float]" = {}
     drivers: "list[MobilityDriver]" = []
-    from ..sim.policies import BraidioPolicy
-
     for plan in plans:
         device_class = spec.device_class(plan.class_name)
         radio = BraidioRadio.for_device(device_class.device)
@@ -312,11 +379,69 @@ def _build_hub(
         plans=plans,
         clients=clients,
         session=session,
-        hub_radio=hub_radio,
         drivers=drivers,
         interfered=interferer is not None,
         neighbor_count=len(neighbor_distances),
     )
+
+
+def _run_hubs(
+    spec: DeploymentSpec,
+    region: Region,
+    local_indices: "Sequence[int]",
+    link_map: LinkMap,
+    fault_plan: "RegionFaultPlan | None" = None,
+) -> "tuple[list[dict[str, object]], dict[str, object] | None]":
+    """Simulate some of a region's hubs on one kernel; returns their
+    reports and, when armed, the region's resilience block.
+
+    A non-empty ``fault_plan`` attaches the handoff coordinator and the
+    fault driver; ``local_indices`` must then cover the whole region.
+    """
+    if len(local_indices) == 1:
+        kernel = f"hub{region.hub_indices[local_indices[0]]}:kernel"
+    else:
+        kernel = f"region{region.index}:kernel"
+    sim = Simulator(seed=int(spec.stream(kernel).integers(2**31)))
+    runtimes = [_build_hub(spec, region, i, link_map, sim) for i in local_indices]
+    coordinator = driver = None
+    if fault_plan is not None and not fault_plan.is_empty:
+        from ..faults.deploy import RegionFaultDriver
+        from ..faults.seeding import region_fault_rng
+
+        handoff_rng = region_fault_rng(
+            spec.fingerprint(), fault_plan, f"region{region.index}:handoff", spec.seed
+        )
+        coordinator = HandoffCoordinator(
+            spec, region, sim, runtimes, link_map, handoff_rng
+        )
+        driver = RegionFaultDriver(spec, region, fault_plan, coordinator)
+        driver.arm()
+
+    def open_windows() -> None:
+        for runtime in runtimes:
+            runtime.open_window()
+
+    sim.schedule_at(spec.warmup_s, open_windows)
+    for runtime in runtimes:
+        for mobility in runtime.drivers:
+            mobility.start()
+    for runtime in runtimes:
+        runtime.session.start()
+    sim.run(until_s=spec.horizon_s)
+    for runtime in runtimes:
+        runtime.session.finish("time")
+
+    if coordinator is None:
+        return [rt.report(spec, region, link_map, None) for rt in runtimes], None
+    summary = coordinator.summarize()
+    hubs = [
+        rt.report(spec, region, link_map, summary["per_hub"][rt.local_index])  # type: ignore[index]
+        for rt in runtimes
+    ]
+    block = dict(summary["region"])  # type: ignore[call-overload]
+    block["fault_events"] = driver.fault_events  # type: ignore[union-attr]
+    return hubs, block
 
 
 def simulate_hub(
@@ -325,87 +450,10 @@ def simulate_hub(
     local_index: int,
     link_map: "LinkMap | None" = None,
 ) -> "dict[str, object]":
-    """Run one hub's full DES session and report post-warmup metrics.
-
-    The reported counters cover only the measured window
-    ``[warmup_s, warmup_s + duration_s]`` — the warmup (controllers
-    converging, TDMA rotations filling) is simulated but excluded, in
-    the classic warmup/measure shape.
-    """
-    global_index = region.hub_indices[local_index]
-    if link_map is None:
-        link_map = LinkMap()
-    sim_seed = int(spec.stream(f"hub{global_index}:kernel").integers(2**31))
-    sim = Simulator(seed=sim_seed)
-    runtime = _build_hub(spec, region, local_index, link_map, sim)
-    plans = runtime.plans
-    clients = runtime.clients
-    session = runtime.session
-    drivers = runtime.drivers
-
-    baseline: "dict[str, tuple[float, float, int, int]]" = {}
-    hub_baseline: "dict[str, float]" = {}
-
-    def snapshot() -> None:
-        for client in clients:
-            metrics = client.metrics
-            baseline[client.name] = (
-                metrics.energy_a_j,
-                metrics.energy_b_j,
-                metrics.bits_delivered,
-                metrics.packets_attempted,
-            )
-        hub_baseline["bits"] = float(session.hub_metrics.bits_delivered)
-        hub_baseline["packets_delivered"] = float(
-            session.hub_metrics.packets_delivered
-        )
-        hub_baseline["packets_attempted"] = float(
-            session.hub_metrics.packets_attempted
-        )
-        hub_baseline["hub_energy_j"] = session.hub_metrics.energy_b_j
-
-    sim.schedule_at(spec.warmup_s, snapshot)
-    for driver in drivers:
-        driver.start()
-    session.run()
-    if not baseline:  # warmup_s == horizon corner: snapshot never beat stop
-        snapshot()
-
-    bits = session.hub_metrics.bits_delivered - int(hub_baseline["bits"])
-    delivered = session.hub_metrics.packets_delivered - int(
-        hub_baseline["packets_delivered"]
-    )
-    attempted = session.hub_metrics.packets_attempted - int(
-        hub_baseline["packets_attempted"]
-    )
-    client_energy = 0.0
-    for client in clients:
-        start_a, _, _, _ = baseline[client.name]
-        client_energy += client.metrics.energy_a_j - start_a
-    hub_energy = session.hub_metrics.energy_b_j - hub_baseline["hub_energy_j"]
-
-    report: "dict[str, object]" = {
-        "hub": global_index,
-        "region": region.index,
-        "channel": region.channels[local_index],
-        "devices": len(plans),
-        "co_channel_neighbors": runtime.neighbor_count,
-        "interfered": runtime.interfered,
-        "bits_delivered": int(bits),
-        "packets_delivered": int(delivered),
-        "packets_attempted": int(attempted),
-        "delivery_ratio": (delivered / attempted) if attempted else 1.0,
-        "goodput_bps": bits / spec.duration_s,
-        "client_energy_j": client_energy,
-        "hub_energy_j": hub_energy,
-        "suspensions": session.churn_suspensions,
-        "resumes": session.churn_resumes,
-        "suspended_s": session.suspended_time_s,
-        "terminated_by": session.hub_metrics.terminated_by,
-    }
-    if spec.lp_plan:
-        report["lp_bits"] = _lp_upper_bound(spec, plans, link_map)
-    return report
+    """Run one hub on its own kernel and report its measured window
+    ``[warmup_s, horizon_s]`` (the warmup is simulated but excluded)."""
+    hubs, _ = _run_hubs(spec, region, [local_index], link_map or LinkMap())
+    return hubs[0]
 
 
 def simulate_region(
@@ -415,54 +463,48 @@ def simulate_region(
 ) -> "dict[str, object]":
     """Simulate every hub of one region; returns the region report.
 
-    Unarmed (no plan, or an empty one) hubs share one
-    :class:`~repro.core.regimes.LinkMap` (its availability cache is the
-    hot path) and run sequentially on their own kernels — the
-    parallelism lever is *regions across the process pool*, not hubs
-    within a region.  An empty :class:`~repro.faults.region.RegionFaultPlan`
-    takes exactly this path, so it is bit-identical to a run with the
-    fault machinery absent.
-
-    A non-empty plan routes through the resilient shared-kernel path
-    (:func:`_simulate_region_resilient`): all hubs ride one simulator
-    so a blackout on one hub can hand its devices to a live neighbor
-    mid-run.
+    The hubs share one :class:`~repro.core.regimes.LinkMap` (its
+    availability cache is the hot path).  Unarmed — no plan, or an
+    empty one — each hub runs on its own kernel (:func:`simulate_hub`).
+    A non-empty plan puts every hub on one kernel, so a dark hub can
+    hand its devices to a live neighbor mid-run, and adds a
+    ``resilience`` block.
     """
+    link_map = LinkMap()
     if fault_plan is None or fault_plan.is_empty:
-        link_map = LinkMap()
         hubs = [
             simulate_hub(spec, region, local_index, link_map=link_map)
             for local_index in range(region.hub_count)
         ]
         return _region_report(spec, region, hubs)
-    return _simulate_region_resilient(spec, region, fault_plan)
+    hubs, block = _run_hubs(
+        spec, region, range(region.hub_count), link_map, fault_plan
+    )
+    return {**_region_report(spec, region, hubs), "resilience": block}
 
 
 def _region_report(
     spec: DeploymentSpec, region: Region, hubs: "list[dict[str, object]]"
 ) -> "dict[str, object]":
-    """Fold per-hub reports into the region report (shared by both
-    paths; resilience keys ride on top only when armed)."""
+    """Fold per-hub reports into the region report."""
     report: "dict[str, object]" = {
         "region": region.index,
         "hubs": hubs,
         "hub_count": region.hub_count,
-        "devices": int(sum(h["devices"] for h in hubs)),  # type: ignore[misc]
-        "bits_delivered": int(sum(h["bits_delivered"] for h in hubs)),  # type: ignore[misc]
-        "packets_delivered": int(sum(h["packets_delivered"] for h in hubs)),  # type: ignore[misc]
-        "packets_attempted": int(sum(h["packets_attempted"] for h in hubs)),  # type: ignore[misc]
-        "client_energy_j": float(sum(h["client_energy_j"] for h in hubs)),  # type: ignore[misc]
-        "hub_energy_j": float(sum(h["hub_energy_j"] for h in hubs)),  # type: ignore[misc]
-        "suspensions": int(sum(h["suspensions"] for h in hubs)),  # type: ignore[misc]
-        "resumes": int(sum(h["resumes"] for h in hubs)),  # type: ignore[misc]
-        "interfered_hubs": int(sum(1 for h in hubs if h["interfered"])),
     }
+    for key in (
+        "devices", "bits_delivered", "packets_delivered", "packets_attempted",
+        "client_energy_j", "hub_energy_j", "suspensions", "resumes",
+    ):
+        total = sum(h[key] for h in hubs)  # type: ignore[misc]
+        report[key] = float(total) if key.endswith("_j") else int(total)
+    report["interfered_hubs"] = int(sum(1 for h in hubs if h["interfered"]))
     if spec.lp_plan:
         report["lp_bits"] = float(sum(h["lp_bits"] for h in hubs))  # type: ignore[misc]
     return report
 
 
-# -- resilient (fault-armed) path ---------------------------------------
+# -- hub-to-hub handoff (fault-armed regions) ----------------------------
 
 
 @dataclass(frozen=True)
@@ -472,7 +514,6 @@ class _DeviceHome:
 
     name: str
     home_local: int
-    home_global: int
     tdma_weight: float
     radio: BraidioRadio
     #: (distance_m, local_index) per candidate hub, nearest first.
@@ -515,6 +556,11 @@ class HandoffCoordinator:
     home session re-plans.  Orphan time, handoff counts/latency and
     dark-hub time accrue for the degradation metrics.
 
+    Energy attribution follows the device: each twin is recorded on its
+    home hub's runtime, whose report meters the twin's air energy
+    (switch costs and fault drains excluded, like every client); the
+    adoptive hub meters its own receive side and counts the twin's bits.
+
     Determinism: backoff jitter draws from a content-addressed region
     fault stream consumed in DES order, and each twin link draws from
     its own scenario stream (``hub<g>:handoff:<name>:<n>``) — never
@@ -543,41 +589,26 @@ class HandoffCoordinator:
         self._runtimes = runtimes
         self._link_map = link_map
         self._rng = rng
-        self._gates = {}
-        for runtime in runtimes:
-            gate = _BrownoutGate()
+        self._gates = [_BrownoutGate() for _ in runtimes]
+        for runtime, gate in zip(runtimes, self._gates):
             runtime.session.attach_injector(gate)
-            self._gates[runtime.local_index] = gate
         self._devices: "dict[str, _DeviceHome]" = {}
+        positions = region.positions_m
         for runtime in runtimes:
-            hx, hy = region.positions_m[runtime.local_index]
+            hx, hy = positions[runtime.local_index]
             for plan, client in zip(runtime.plans, runtime.clients):
-                theta = float(
-                    spec.stream(
-                        f"hub{runtime.global_index}:angle:{plan.name}"
-                    ).uniform(0.0, 2.0 * math.pi)
-                )
+                angle = spec.stream(f"hub{runtime.global_index}:angle:{plan.name}")
+                theta = float(angle.uniform(0.0, 2.0 * math.pi))
                 x = hx + plan.distance_m * math.cos(theta)
                 y = hy + plan.distance_m * math.sin(theta)
-                order = tuple(
-                    sorted(
-                        (
-                            quantize_distance(
-                                math.hypot(
-                                    x - region.positions_m[other.local_index][0],
-                                    y - region.positions_m[other.local_index][1],
-                                )
-                            ),
-                            other.local_index,
-                        )
-                        for other in runtimes
-                        if other.local_index != runtime.local_index
-                    )
-                )
+                others = [o.local_index for o in runtimes if o is not runtime]
+                order = tuple(sorted(
+                    (quantize_distance(math.hypot(x - positions[o][0], y - positions[o][1])), o)
+                    for o in others
+                ))
                 self._devices[plan.name] = _DeviceHome(
                     name=plan.name,
                     home_local=runtime.local_index,
-                    home_global=runtime.global_index,
                     tdma_weight=spec.device_class(plan.class_name).tdma_weight,
                     radio=client.radio,
                     neighbor_order=order,
@@ -634,14 +665,10 @@ class HandoffCoordinator:
                 self._begin_orphan(name, now)
         session.power_down()
         self._down_since[local_index] = now
+        asleep_or_dead = session.suspended_clients | session.exhausted_clients
         for client in runtime.clients:
             name = client.name
-            if (
-                name in session.suspended_clients
-                or name in session.exhausted_clients
-                or name in self._adopted_at
-                or name in self._orphan_since
-            ):
+            if name in asleep_or_dead or name in self._adopted_at or name in self._orphan_since:
                 continue
             self._begin_orphan(name, now)
 
@@ -719,10 +746,8 @@ class HandoffCoordinator:
     # -- handoff state machine -------------------------------------------
 
     def _session_serving(self, name: str) -> HubSession:
-        host = self._adopted_at.get(name)
-        if host is not None:
-            return self._runtimes[host].session
-        return self._runtimes[self._devices[name].home_local].session
+        host = self._adopted_at.get(name, self._devices[name].home_local)
+        return self._runtimes[host].session
 
     def _scoped_links(self, local_index: "int | None") -> "list[SimulatedLink]":
         links: "list[SimulatedLink]" = []
@@ -736,21 +761,17 @@ class HandoffCoordinator:
         return links
 
     def _surge_db_for(self, local_index: int) -> float:
-        return sum(
-            db
-            for db, scope in self._surges
-            if scope is None or scope == local_index
-        )
+        return sum(db for db, scope in self._surges if scope is None or scope == local_index)
 
     def _begin_orphan(self, name: str, now: float) -> None:
         self._orphan_since[name] = now
         self._schedule_attempt(name, 0)
 
-    def _end_orphan(self, name: str, now: float) -> None:
+    def _end_orphan(self, name: str, now: float) -> float:
+        """Close the device's orphan window; returns when it opened."""
         started = self._orphan_since.pop(name)
-        self._orphan_windows.append(
-            (self._devices[name].home_local, started, now)
-        )
+        self._orphan_windows.append((self._devices[name].home_local, started, now))
+        return started
 
     def _schedule_attempt(self, name: str, attempt: int) -> None:
         jitter = float(self._rng.random()) * self.JITTER_S
@@ -784,14 +805,11 @@ class HandoffCoordinator:
     def _adopt(
         self, name: str, record: _DeviceHome, local_index: int, distance_m: float
     ) -> None:
-        from ..sim.policies import BraidioPolicy
-
         count = self._adoption_counts.get(name, 0)
         self._adoption_counts[name] = count + 1
+        home = self._region.hub_indices[record.home_local]
         link = SimulatedLink(
-            self._link_map,
-            distance_m,
-            self._spec.stream(f"hub{record.home_global}:handoff:{name}:{count}"),
+            self._link_map, distance_m, self._spec.stream(f"hub{home}:handoff:{name}:{count}")
         )
         surge_db = self._surge_db_for(local_index)
         if surge_db:
@@ -801,11 +819,10 @@ class HandoffCoordinator:
         )
         host = self._runtimes[local_index].session
         host.adopt_client(twin, weight=record.tdma_weight)
+        self._runtimes[record.home_local].twins.append(twin)
         self._adopted_at[name] = local_index
         now = self._sim.now_s
-        started = self._orphan_since.pop(name)
-        self._orphan_windows.append((record.home_local, started, now))
-        self._latency_total_s += now - started
+        self._latency_total_s += now - self._end_orphan(name, now)
         self.handoffs += 1
         self._handoffs_out[record.home_local] += 1
         self._handoffs_in[local_index] += 1
@@ -874,113 +891,3 @@ class HandoffCoordinator:
             ),
         }
         return {"per_hub": per_hub, "region": region}
-
-
-def _simulate_region_resilient(
-    spec: DeploymentSpec, region: Region, fault_plan: "RegionFaultPlan"
-) -> "dict[str, object]":
-    """Armed path: all hubs of the region share one kernel so faults
-    and hub-to-hub handoff cross hub boundaries mid-run.
-
-    Energy here is accounted by *battery deltas* over the measured
-    window (a device adopted by a neighbor drains the same physical
-    battery through its twin), and throughput by the serving hub's
-    session counters — a device handed off mid-blackout counts toward
-    its adoptive hub's bits.
-    """
-    from ..faults.deploy import RegionFaultDriver
-    from ..faults.seeding import region_fault_rng
-
-    link_map = LinkMap()
-    sim_seed = int(spec.stream(f"region{region.index}:kernel").integers(2**31))
-    sim = Simulator(seed=sim_seed)
-    runtimes = [
-        _build_hub(spec, region, local_index, link_map, sim)
-        for local_index in range(region.hub_count)
-    ]
-    handoff_rng = region_fault_rng(
-        spec.fingerprint(), fault_plan, f"region{region.index}:handoff", spec.seed
-    )
-    coordinator = HandoffCoordinator(
-        spec, region, sim, runtimes, link_map, handoff_rng
-    )
-    driver = RegionFaultDriver(spec, region, fault_plan, coordinator)
-    driver.arm()
-
-    counter_base: "dict[int, tuple[int, int, int]]" = {}
-    battery_base: "dict[str, float]" = {}
-    hub_battery_base: "dict[int, float]" = {}
-
-    def snapshot() -> None:
-        for runtime in runtimes:
-            metrics = runtime.session.hub_metrics
-            counter_base[runtime.local_index] = (
-                metrics.bits_delivered,
-                metrics.packets_delivered,
-                metrics.packets_attempted,
-            )
-            hub_battery_base[runtime.local_index] = (
-                runtime.hub_radio.battery.remaining_j
-            )
-            for client in runtime.clients:
-                battery_base[client.name] = client.radio.battery.remaining_j
-
-    sim.schedule_at(spec.warmup_s, snapshot)
-    for runtime in runtimes:
-        for driver_ in runtime.drivers:
-            driver_.start()
-    for runtime in runtimes:
-        runtime.session.start()
-    sim.run(until_s=spec.horizon_s)
-    for runtime in runtimes:
-        runtime.session.finish("time")
-    if not counter_base:  # warmup_s == horizon corner
-        snapshot()
-
-    resilience = coordinator.summarize()
-    hubs: "list[dict[str, object]]" = []
-    for runtime in runtimes:
-        session = runtime.session
-        metrics = session.hub_metrics
-        bits0, delivered0, attempted0 = counter_base[runtime.local_index]
-        bits = metrics.bits_delivered - bits0
-        delivered = metrics.packets_delivered - delivered0
-        attempted = metrics.packets_attempted - attempted0
-        client_energy = sum(
-            battery_base[client.name] - client.radio.battery.remaining_j
-            for client in runtime.clients
-        )
-        hub_energy = (
-            hub_battery_base[runtime.local_index]
-            - runtime.hub_radio.battery.remaining_j
-        )
-        report: "dict[str, object]" = {
-            "hub": runtime.global_index,
-            "region": region.index,
-            "channel": region.channels[runtime.local_index],
-            "devices": len(runtime.plans),
-            "co_channel_neighbors": runtime.neighbor_count,
-            "interfered": runtime.interfered,
-            "bits_delivered": int(bits),
-            "packets_delivered": int(delivered),
-            "packets_attempted": int(attempted),
-            "delivery_ratio": (delivered / attempted) if attempted else 1.0,
-            "goodput_bps": bits / spec.duration_s,
-            "client_energy_j": float(client_energy),
-            "hub_energy_j": float(hub_energy),
-            "suspensions": session.churn_suspensions,
-            "resumes": session.churn_resumes,
-            "suspended_s": session.suspended_time_s,
-            "terminated_by": metrics.terminated_by,
-            "fault_events": metrics.fault_events,
-            "reboots": metrics.reboots,
-        }
-        report.update(resilience["per_hub"][runtime.local_index])  # type: ignore[index, call-overload]
-        if spec.lp_plan:
-            report["lp_bits"] = _lp_upper_bound(spec, runtime.plans, link_map)
-        hubs.append(report)
-    region_report = _region_report(spec, region, hubs)
-    region_block = dict(resilience["region"])  # type: ignore[arg-type, call-overload]
-    region_block["fault_events"] = driver.fault_events
-    region_report["resilience"] = region_block
-    return region_report

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
@@ -435,6 +436,11 @@ class DeploymentSpec:
             raise ValueError(
                 f"unknown hub device {self.hub_device!r} (known: {known})"
             )
+        for key, value in (("warmup_s", self.warmup_s), ("duration_s", self.duration_s)):
+            # A NaN slips past the range check below and an infinite
+            # horizon never ends the churn sampler or the kernel.
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
         if self.warmup_s < 0.0 or self.duration_s <= 0.0:
             raise ValueError("warmup must be >= 0 and duration > 0")
         if self.n_channels < 1:

@@ -529,8 +529,9 @@ def conservation_residual_j(
     """How far the account's attribution drifts from its battery delta:
     ``(initial - remaining) - attributed``.  ``None`` for metering-only
     accounts.  Useful in tests and invariant checks; sessions that died
-    mid-drain legitimately show a residual (the fatal packet is metered
-    but only partially drained).
+    mid-drain legitimately show a residual (the fatal packet drains only
+    what was left: the pair session still attributes all of it, the hub
+    session none of it).
     """
     remaining = account.remaining_j
     if remaining is None:

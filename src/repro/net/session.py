@@ -155,10 +155,12 @@ class HubSession:
         self.releases = 0
         self.hub_metrics = SessionMetrics()
         # Each client's ledger binds its own battery as account "a" and
-        # the *shared* hub battery as account "b" — drains route through
-        # the client's ledger.  The hub-side metrics ledger stays
-        # metering-only (unbound) so the shared battery is never drained
-        # twice for the same packet.
+        # the *shared* hub battery as account "b" — per-packet drains
+        # route through the client's ledger.  The hub-side account is
+        # bound to the same battery so its conservation residual can be
+        # checked, but it only notes and meters packet energy (never
+        # drains it), so the shared battery is never drained twice.
+        # Hub fault drains are the one thing it drains itself.
         self._accounts: dict[str, tuple[object, object]] = {}
         for c in clients:
             account_a = c.metrics.ledger.account("a")
@@ -167,6 +169,7 @@ class HubSession:
             account_b.bind_battery(hub.battery)
             self._accounts[c.name] = (account_a, account_b)
         self._hub_account = self.hub_metrics.ledger.account("b")
+        self._hub_account.bind_battery(hub.battery)
 
     @property
     def finished(self) -> bool:
@@ -385,7 +388,7 @@ class HubSession:
         if account == "hub":
             self._hub_account.note(_FAULT, joules)
             try:
-                self._hub.battery.drain_energy(joules)
+                self._hub_account.drain(joules)
             except BatteryEmptyError:
                 self._terminate("battery")
             return
@@ -630,6 +633,9 @@ class HubSession:
             client_account.drain(tx_energy)
             shared_account.drain(rx_energy)
         except BatteryEmptyError:
+            # The fatal packet is recorded but neither metered nor
+            # attributed (the drain removed only what was left), so the
+            # dead battery's conservation residual is non-zero.
             client.metrics.record_packet(decision.mode, self._payload_bits, False)
             self._retire_or_finish(client)
             return

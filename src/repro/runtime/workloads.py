@@ -237,9 +237,9 @@ def run_faults_session(spec: JobSpec, rng: np.random.Generator) -> dict:
 def run_deploy_region(spec: JobSpec, rng: np.random.Generator) -> dict:
     """One region of a city-scale deployment (params: ``scenario`` —
     the full scenario JSON — ``region``, and optionally ``faults`` — a
-    serialized :class:`~repro.faults.region.RegionFaultPlan`; the param
-    is only present for non-empty plans, so unarmed job fingerprints
-    never change).
+    serialized :class:`~repro.faults.region.RegionFaultPlan` — with its
+    ``energy`` cache-key tag; both are only present for non-empty plans,
+    so unarmed job fingerprints never change).
 
     The executor-provided ``rng`` is deliberately unused: every stream
     inside the region derives content-addressed from the *scenario*

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.__main__ import main
+from repro.core.regimes import LinkMap
 from repro.deploy import (
     DeviceClass,
     DeploymentSpec,
@@ -17,6 +18,7 @@ from repro.deploy import (
     scenario,
     simulate_region,
 )
+from repro.deploy.region import _run_hubs
 from repro.experiments.catalog import (
     DEPLOY_RESILIENCE_COLUMNS,
     deployment_resilience_rows,
@@ -28,7 +30,8 @@ from repro.faults import (
     RegionFaultSpec,
     region_fault_plan_for,
 )
-from repro.runtime import CampaignConfig, ShardConfig
+from repro.runtime import CampaignConfig, JobSpec, ShardConfig
+from repro.runtime.cache import ResultCache
 
 
 def _pair_spec(**overrides):
@@ -89,6 +92,83 @@ class TestEmptyPlanBitIdentity:
             s.fingerprint() for s in region_job_specs(spec, fault_plan=plan)
         }
         assert bare.isdisjoint(armed)
+
+    def test_entries_cached_under_the_old_armed_key_are_not_served(
+        self, tmp_path
+    ):
+        # Armed region jobs were once keyed without the energy tag and
+        # reported battery-delta energy; such entries must be recomputed.
+        spec = scenario("smoke")
+        plan = region_fault_plan_for("blackout", spec)
+        clean = run_deployment(spec, CampaignConfig(n_jobs=1), fault_plan=plan)
+        cache = ResultCache(tmp_path)
+        for job, region in zip(
+            region_job_specs(spec, fault_plan=plan), clean.manifest["regions"]
+        ):
+            old_key = JobSpec(
+                kind=job.kind,
+                seed=job.seed,
+                params=tuple(p for p in job.params if p[0] != "energy"),
+            )
+            assert old_key.fingerprint() != job.fingerprint()
+            stale = dict(region, client_energy_j=2.0 * region["client_energy_j"])
+            cache.put(old_key, stale)
+        rerun = run_deployment(
+            spec, CampaignConfig(n_jobs=1, cache_dir=tmp_path), fault_plan=plan
+        )
+        assert rerun.campaign.manifest.cached == 0
+        assert manifest_json(rerun.manifest) == manifest_json(clean.manifest)
+
+
+def _ci_small_region0_with_inert_brownout():
+    """ci-small region 0, armed with a brownout aimed at a hub of the
+    other region: the plan is non-empty but nothing in it fires here."""
+    spec = scenario("ci-small")
+    regions = partition(spec).regions
+    plan = RegionFaultPlan.of(
+        RegionFaultSpec(
+            kind=RegionFaultKind.HUB_BROWNOUT,
+            start_s=spec.warmup_s + 0.5,
+            duration_s=1.0,
+            hub=regions[1].hub_indices[0],
+        )
+    )
+    return spec, regions[0], plan
+
+
+class TestOnePathOneEnergy:
+    """The unarmed and armed groupings differ only in speed."""
+
+    COMPARED = (
+        "bits_delivered", "packets_delivered", "packets_attempted",
+        "client_energy_j", "hub_energy_j",
+    )
+
+    @pytest.fixture(scope="class")
+    def inert(self):
+        spec, region, plan = _ci_small_region0_with_inert_brownout()
+        return simulate_region(spec, region), simulate_region(spec, region, plan)
+
+    @pytest.mark.parametrize("key", COMPARED)
+    def test_inert_armed_plan_matches_unarmed(self, inert, key):
+        unarmed, armed = inert
+        assert armed["resilience"]["fault_events"] == 0
+        assert armed[key] == unarmed[key]
+        assert [h[key] for h in armed["hubs"]] == [
+            h[key] for h in unarmed["hubs"]
+        ]
+
+    @pytest.mark.parametrize(
+        "spec", [_pair_spec(), scenario("ci-small"), scenario("smoke")],
+        ids=["pair", "ci-small", "smoke"],
+    )
+    def test_shared_kernel_matches_per_hub_kernels(self, spec):
+        for region in partition(spec).regions:
+            shared, block = _run_hubs(
+                spec, region, range(region.hub_count), LinkMap()
+            )
+            assert block is None
+            assert shared == simulate_region(spec, region)["hubs"]
 
 
 class TestBlackoutHandoff:

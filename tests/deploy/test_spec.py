@@ -66,6 +66,32 @@ class TestValidation:
         with pytest.raises(ValueError, match="population smaller"):
             _tiny_spec(devices_per_hub=1)
 
+    @pytest.mark.parametrize("key", ["warmup_s", "duration_s"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("route", ["construct", "from_dict", "from_json"])
+    def test_non_finite_times_rejected(self, key, bad, route):
+        # An infinite horizon would hang the churn sampler; JSON spec
+        # files can carry Infinity/NaN literals, so every route checks.
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            if route == "construct":
+                _tiny_spec(**{key: bad})
+            else:
+                data = {**_tiny_spec().to_dict(), key: bad}
+                if route == "from_dict":
+                    DeploymentSpec.from_dict(data)
+                else:
+                    DeploymentSpec.from_json(json.dumps(data))
+
+    def test_cli_rejects_infinite_duration_file(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        path = tmp_path / "endless.json"
+        path.write_text(
+            json.dumps({**_tiny_spec().to_dict(), "duration_s": float("inf")})
+        )
+        assert main(["deploy", str(path)]) == 2
+        assert "duration_s must be finite" in capsys.readouterr().err
+
     def test_churn_fraction_bounded(self):
         with pytest.raises(ValueError, match="fraction"):
             ChurnProcess(late_join_fraction=1.5)
