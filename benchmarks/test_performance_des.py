@@ -7,15 +7,24 @@ with link-outcome memoization disabled, so the cache's contribution is
 visible in the same history (the two sessions produce bit-identical
 metrics; ``tests/sim/test_link_cache.py`` enforces that).  The third
 check guards the fault-injection hooks: with an empty plan armed they
-must stay within 5% of the unarmed hot path.
+must stay within 5% of the unarmed hot path.  The last bench times the
+hub session, the per-packet path of every deployment: one hub serving
+100 clients through a shared in-band interferer while they nap and wake
+(TDMA rebuilds, burst-keyed link memo, the periodic energy sweep).
 """
 
 import time
+from functools import partial
+
+import numpy as np
 
 from repro.core.braidio import BraidioRadio
 from repro.core.regimes import LinkMap
 from repro.faults import FaultInjector, FaultPlan
 from repro.hardware.battery import Battery
+from repro.net import TdmaSchedule
+from repro.net.session import HubClient, HubSession
+from repro.sim.interference import BurstyInterferer, InterferedLink
 from repro.sim.link import SimulatedLink
 from repro.sim.policies import BraidioPolicy
 from repro.sim.session import CommunicationSession
@@ -87,3 +96,49 @@ def test_fault_hooks_add_under_five_percent_when_idle():
     print(f"\nidle fault-hook overhead: {overhead * 100:+.2f}% "
           f"(baseline {baseline_s * 1e3:.1f} ms, armed {armed_s * 1e3:.1f} ms)")
     assert armed_s <= baseline_s * 1.05 + 2e-3
+
+
+HUB_CLIENTS = 100
+HUB_PACKETS = 20_000
+
+
+def _run_hub_session():
+    sim = Simulator(seed=0)
+    rng = np.random.default_rng(1)
+    link_map = LinkMap()
+    hub = BraidioRadio.for_device("iPhone 6S")
+    hub.battery = Battery(10.0)
+    interferer = BurstyInterferer(
+        rng, mean_on_s=0.05, mean_off_s=0.2, snr_penalty_db=10.0, horizon_s=60.0
+    )
+    clients = []
+    for i in range(HUB_CLIENTS):
+        radio = BraidioRadio.for_device("Apple Watch")
+        radio.battery = Battery(1.0)
+        distance = float(rng.uniform(0.3, 1.5))
+        link = InterferedLink(link_map, distance, sim.rng, interferer)
+        clients.append(HubClient(f"c{i}", radio, link, BraidioPolicy()))
+    weights = {c.name: 1.0 + i % 3 for i, c in enumerate(clients)}
+    tdma = TdmaSchedule(weights, round_packets=2 * HUB_CLIENTS)
+    session = HubSession(sim, hub, clients, tdma, max_packets=HUB_PACKETS)
+    # Churn: three naps per client over the ~13 s the packets take.
+    for client in clients:
+        for at in rng.uniform(0.0, 12.0, 3):
+            wake = at + rng.exponential(0.5)
+            sim.schedule_at(float(at), partial(session.suspend_client, client.name))
+            sim.schedule_at(float(wake), partial(session.resume_client, client.name))
+    metrics = session.run()
+    return metrics, session
+
+
+def test_performance_hub_session_throughput(benchmark):
+    metrics, session = benchmark(_run_hub_session)
+    assert metrics.packets_attempted == HUB_PACKETS
+    assert session.churn_suspensions > HUB_CLIENTS
+    mean_s = benchmark.stats.stats.mean
+    print(f"\nhub-session throughput: {HUB_PACKETS / mean_s:,.0f} packets/s "
+          f"({HUB_CLIENTS} clients, churn, interferer; "
+          f"{mean_s * 1e3:.1f} ms per {HUB_PACKETS}-packet session)")
+    # Guard rail: a 2-CPU x86-64 box measures 65-73k packets/s here;
+    # the rail sits well over 2x below that.
+    assert HUB_PACKETS / mean_s > 25_000

@@ -23,6 +23,12 @@ class LinkMode(enum.Enum):
     PASSIVE = "passive"
     BACKSCATTER = "backscatter"
 
+    # Identity hash: members are singletons and compare by identity, and
+    # Enum's own hash(name) is already randomized per process, so no
+    # output can depend on it.  Mode-keyed dicts sit on the per-packet
+    # path, where the Python-level Enum.__hash__ is measurable.
+    __hash__ = object.__hash__
+
     @property
     def carrier_at_tx(self) -> bool:
         """Whether the data transmitter generates the carrier."""

@@ -131,6 +131,9 @@ class HubSession:
             reprobe_interval if reprobe_interval is not None else tdma.round_packets
         )
         self._base_tdma = tdma
+        # (base schedule, inactive clients) awaiting a build at the next
+        # serve; see _rebuild_schedule.
+        self._pending_tdma: tuple[TdmaSchedule, set[str]] | None = None
         self._fail_streak: dict[str, int] = {c.name: 0 for c in clients}
         self._dark_since: dict[str, float] = {}
         self._probes_used: dict[str, int] = {}
@@ -474,6 +477,10 @@ class HubSession:
             client.metrics.duration_s = now
 
     def _next_live_client(self) -> HubClient | None:
+        if self._pending_tdma is not None:
+            base, inactive = self._pending_tdma
+            self._pending_tdma = None
+            self._tdma = base.without(inactive) if inactive else base
         # Skip the slots of exhausted clients (their battery died), dark
         # ones (slots reclaimed but a stale schedule may still name them)
         # and suspended ones (churn); the schedule rotates among the
@@ -566,14 +573,17 @@ class HubSession:
         self._rebuild_schedule()
 
     def _rebuild_schedule(self) -> None:
+        # Reclaim the inactive clients' slots for the survivors.  The
+        # build is deferred to the next serve (a burst of churn between
+        # two packets costs one), but the inactive set is captured now:
+        # clients retired later without a rebuild keep their slots.
         inactive = set(self._dark_since) | self._exhausted | set(self._suspended)
-        if not inactive:
-            self._tdma = self._base_tdma
-        elif len(inactive) < len(self._clients):
-            # Reclaim the inactive clients' slots for the survivors.
-            self._tdma = self._base_tdma.without(inactive)
-        # else: everyone is inactive — keep the last schedule; the probe
-        # path decides whether anyone comes back or the session ends.
+        if len(inactive) == len(self._clients):
+            # Everyone is inactive: idle on the base schedule (same round
+            # length, every name skipped); the probe path decides whether
+            # anyone comes back or the session ends.
+            inactive = set()
+        self._pending_tdma = (self._base_tdma, inactive)
 
     def _serve_packet(self) -> None:
         if self._finished:
@@ -656,11 +666,16 @@ class HubSession:
         self._packet_index += 1
         self._since_probe += 1
         if self._packet_index % self._energy_update_interval == 0:
+            # Suspended clients are checked for exhaustion but not
+            # refreshed: resume_client restarts their policy, which
+            # overwrites everything update_energy would have set.
             for other in self._clients.values():
                 if other.name in self._exhausted:
                     continue
                 if other.radio.battery.is_empty:
                     self._exhausted.add(other.name)
+                    continue
+                if other.name in self._suspended:
                     continue
                 other.policy.update_energy(
                     other.radio.battery.remaining_j,

@@ -42,36 +42,47 @@ class TdmaSchedule:
         weights: Mapping[str, float] | Sequence[tuple[str, float]],
         round_packets: int = 128,
     ) -> None:
-        items = list(weights.items()) if isinstance(weights, Mapping) else list(weights)
-        if not items:
+        if isinstance(weights, Mapping):
+            self._weights = dict(weights)
+            values = list(self._weights.values())
+        else:
+            pairs = list(weights)
+            self._weights = dict(pairs)
+            values = [w for _, w in pairs]
+        if not values:
             raise ValueError("at least one client required")
-        if any(w <= 0.0 for _, w in items):
+        if min(values) <= 0.0:
             raise ValueError("weights must be positive")
-        if round_packets < len(items):
+        if round_packets < len(values):
             raise ValueError("round too short to serve every client")
 
-        total = sum(w for _, w in items)
-        self._weights = dict(items)
-        self._shares = {client: w / total for client, w in items}
+        total = sum(values)
         self._round = round_packets
-        self._slots = self._build_slots()
+        self._counts = self._build_counts(total)
+        # Per-position client table: client_for_packet is one index.
+        table: list[str] = []
+        for name, count in zip(self._weights, self._counts):
+            table += [name] * count
+        self._table = table
 
-    def _build_slots(self) -> list[Slot]:
+    def _build_counts(self, total: float) -> list[int]:
         # Largest-remainder with a guaranteed slot per client: unlike mode
         # fractions, starving a client entirely is a fairness failure, so
-        # every client gets at least one packet per round.
-        quotas = {c: share * self._round for c, share in self._shares.items()}
-        counts = {c: max(1, int(q)) for c, q in quotas.items()}
-        while sum(counts.values()) > self._round:
-            richest = max(counts, key=lambda c: counts[c])
-            counts[richest] -= 1
-        leftover = self._round - sum(counts.values())
-        by_remainder = sorted(
-            quotas, key=lambda c: quotas[c] - counts[c], reverse=True
-        )
-        for client in by_remainder[:leftover]:
-            counts[client] += 1
-        return [Slot(client, count) for client, count in counts.items()]
+        # every client gets at least one packet per round.  Ties break
+        # toward the earlier client (first maximum, stable sort).
+        quotas = [w / total * self._round for w in self._weights.values()]
+        counts = [int(q) or 1 for q in quotas]
+        for _ in range(sum(counts) - self._round):
+            counts[counts.index(max(counts))] -= 1
+        leftover = self._round - sum(counts)
+        if leftover:
+            remainders = [q - c for q, c in zip(quotas, counts)]
+            by_remainder = sorted(
+                range(len(counts)), key=remainders.__getitem__, reverse=True
+            )
+            for i in by_remainder[:leftover]:
+                counts[i] += 1
+        return counts
 
     @property
     def round_packets(self) -> int:
@@ -117,11 +128,13 @@ class TdmaSchedule:
     @property
     def slots(self) -> tuple[Slot, ...]:
         """Per-round slots."""
-        return tuple(self._slots)
+        return tuple(Slot(name, count) for name, count in zip(self._weights, self._counts))
 
     def air_time_shares(self) -> dict[str, float]:
         """Realized per-round share per client."""
-        return {slot.client: slot.packets / self._round for slot in self._slots}
+        return {
+            name: count / self._round for name, count in zip(self._weights, self._counts)
+        }
 
     def client_for_packet(self, index: int) -> str:
         """Client served by the ``index``-th packet.
@@ -131,19 +144,12 @@ class TdmaSchedule:
         """
         if index < 0:
             raise ValueError("packet index must be non-negative")
-        position = index % self._round
-        for slot in self._slots:
-            if position < slot.packets:
-                return slot.client
-            position -= slot.packets
-        raise AssertionError("unreachable: slot accounting is exhaustive")
+        return self._table[index % self._round]
 
     def packet_clients(self) -> Iterator[str]:
         """Infinite per-packet client iterator."""
         while True:
-            for slot in self._slots:
-                for _ in range(slot.packets):
-                    yield slot.client
+            yield from self._table
 
 
 def assign_reuse_channels(

@@ -10,11 +10,14 @@ mode if the current operating mode is performing poorly").
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from ..core.modes import LinkMode
 from ..core.regimes import LinkMap
 from ..phy.fading import BlockFadingProcess
+from ..phy.modulation import packet_error_rate
 from .link import SimulatedLink
 
 
@@ -56,8 +59,8 @@ class BurstyInterferer:
             on = not on
             edges.append(t)
             state_on.append(on)
-        self._edges = np.asarray(edges)
-        self._state_on = np.asarray(state_on)
+        self._edges = edges
+        self._state_on = state_on
 
     @property
     def penalty_db(self) -> float:
@@ -72,9 +75,7 @@ class BurstyInterferer:
         """
         if time_s < 0.0:
             raise ValueError("time must be non-negative")
-        index = int(np.searchsorted(self._edges, time_s, side="right")) - 1
-        index = min(index, len(self._state_on) - 1)
-        return bool(self._state_on[index])
+        return self._state_on[bisect_right(self._edges, time_s) - 1]
 
     def snr_penalty_at(self, time_s: float) -> float:
         """Penalty (dB) at ``time_s`` — the burst depth or zero."""
@@ -95,6 +96,13 @@ class InterferedLink(SimulatedLink):
     only: the active radio's coherent receiver and channel filtering ride
     the burst out, which is exactly why the fallback target is the active
     mode.
+
+    The packet error rate is memoized per (mode, bitrate, packet size,
+    burst on/off) at the current distance and SNR offset: the burst
+    state is the only thing the penalty adds to the static channel, so
+    the memo is exact, and :meth:`set_distance` / ``snr_offset_db``
+    invalidate it as they do the base link's.  An attached fading
+    process bypasses it.
     """
 
     def __init__(
@@ -105,9 +113,7 @@ class InterferedLink(SimulatedLink):
         interferer: BurstyInterferer,
         fading: BlockFadingProcess | None = None,
     ) -> None:
-        # The burst penalty makes the SNR time-varying even on a static
-        # channel, so the per-(mode, bitrate) memoization must stay off.
-        super().__init__(link_map, distance_m, rng, fading=fading, cache=False)
+        super().__init__(link_map, distance_m, rng, fading=fading)
         self._interferer = interferer
 
     @property
@@ -121,3 +127,16 @@ class InterferedLink(SimulatedLink):
         if mode is not LinkMode.ACTIVE:
             snr -= self._interferer.snr_penalty_at(time_s)
         return snr
+
+    def _packet_error_rate(
+        self, mode: LinkMode, bitrate_bps: int, packet_bits: int, time_s: float
+    ) -> float:
+        if self._fading is not None:
+            return super()._packet_error_rate(mode, bitrate_bps, packet_bits, time_s)
+        burst = mode is not LinkMode.ACTIVE and self._interferer.is_active(time_s)
+        key = (mode, bitrate_bps, packet_bits, burst)
+        per = self._per_cache.get(key)
+        if per is None:
+            per = packet_error_rate(self.ber(mode, bitrate_bps, time_s), packet_bits)
+            self._per_cache[key] = per
+        return per

@@ -40,9 +40,9 @@ class SimulatedLink:
         cache: memoize per-(mode, bitrate, packet size) link outcomes when
             no fading process is attached.  Disabling it only costs speed;
             results are identical either way.  Subclasses whose ``snr_db``
-            varies with time through anything other than ``fading`` (e.g.
-            :class:`~repro.sim.interference.InterferedLink`) must pass
-            ``cache=False``.
+            varies with time through anything other than ``fading`` must
+            pass ``cache=False`` or key their PER memo by that state, as
+            :class:`~repro.sim.interference.InterferedLink` does.
     """
 
     __slots__ = (
@@ -71,11 +71,12 @@ class SimulatedLink:
         self._rng = rng
         self._fading = fading
         self._cache_enabled = cache
-        # SNR in dB per (mode, bitrate); PER per (mode, bitrate, bits).
+        # SNR in dB per (mode, bitrate); PER per (mode, bitrate, bits)
+        # (subclasses may extend the PER key, e.g. by a burst state).
         # Both implicitly keyed by the current distance *and* the fault
         # offset: set_distance / snr_offset_db invalidate them.
         self._snr_cache: dict[tuple[LinkMode, int], float] = {}
-        self._per_cache: dict[tuple[LinkMode, int, int], float] = {}
+        self._per_cache: dict[tuple, float] = {}
         self._snr_offset_db = 0.0
 
     @property

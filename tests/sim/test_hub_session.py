@@ -1,5 +1,7 @@
 """Unit/integration tests for the packet-level hub session."""
 
+import copy
+
 import pytest
 
 from repro.core.braidio import BraidioRadio
@@ -187,6 +189,29 @@ class TestAdoptRelease:
         session.run()
         assert clients[1].metrics.packets_attempted == 0
 
+    def test_release_while_everyone_else_sleeps_idles_the_session(self):
+        # A host hub hands a twin back while all of its own devices are
+        # asleep: the session must idle, not serve from a schedule that
+        # still names the released twin.
+        sim, _, clients, session = _build_session(
+            client_whs=(1e-4, 1e-4), apply_switch_costs=False, max_time_s=0.5
+        )
+        guest = _extra_client(sim)
+        sim.schedule_at(0.1, lambda: session.adopt_client(guest))
+        sim.schedule_at(0.2, lambda: session.suspend_client("c0"))
+        sim.schedule_at(0.2, lambda: session.suspend_client("c1"))
+        sim.schedule_at(0.3, lambda: session.release_client("guest"))
+        served = {}
+        sim.schedule_at(
+            0.4, lambda: served.update(c0=clients[0].metrics.packets_attempted)
+        )
+        sim.schedule_at(0.4, lambda: session.resume_client("c0"))
+        session.run()
+        assert session.client_names == {"c0", "c1"}
+        assert guest.metrics.packets_attempted > 0
+        assert session.hub_metrics.terminated_by == "time"
+        assert clients[0].metrics.packets_attempted > served["c0"]
+
     def test_release_unknown_and_last_client_rejected(self):
         _, _, _, session = _build_session(max_time_s=0.1)
         with pytest.raises(KeyError):
@@ -217,6 +242,71 @@ class TestAdoptRelease:
         assert first.terminated_by == "time"
         assert session.finish("battery") is first
         assert first.terminated_by == "time"  # reason locked at first finish
+
+
+class _CountingPolicy(BraidioPolicy):
+    def __init__(self):
+        super().__init__()
+        self.energy_updates = 0
+
+    def update_energy(self, e1_j, e2_j):
+        self.energy_updates += 1
+        super().update_energy(e1_j, e2_j)
+
+
+class TestEnergySweep:
+    def test_suspended_clients_are_not_refreshed(self):
+        sim, _, clients, session = _build_session(
+            client_whs=(1e-4, 1e-4), apply_switch_costs=False, max_time_s=0.4,
+            energy_update_interval=8,
+        )
+        for client in clients:
+            client.policy = _CountingPolicy()
+        counts = {}
+        sim.schedule_at(0.1, lambda: session.suspend_client("c1"))
+        policy = clients[1].policy
+        sim.schedule_at(0.1, lambda: counts.update(at_suspend=policy.energy_updates))
+        sim.schedule_at(0.3, lambda: counts.update(at_resume=policy.energy_updates))
+        sim.schedule_at(0.3, lambda: session.resume_client("c1"))
+        session.run()
+        assert counts["at_suspend"] > 0
+        assert counts["at_resume"] == counts["at_suspend"]
+        assert clients[1].policy.energy_updates > counts["at_resume"]
+
+    def test_suspended_client_with_dead_battery_is_still_retired(self):
+        sim, _, clients, session = _build_session(
+            client_whs=(1e-4, 1e-4), apply_switch_costs=False, max_time_s=0.3,
+            energy_update_interval=8,
+        )
+        sim.schedule_at(0.1, lambda: session.suspend_client("c1"))
+        battery = clients[1].radio.battery
+        sim.schedule_at(0.15, lambda: battery.drain_energy(battery.remaining_j))
+        session.run()
+        assert "c1" in session.exhausted_clients
+
+    def test_start_overwrites_what_update_energy_sets(self):
+        # Why skipping suspended clients is exact: resume_client restarts
+        # the policy, and a restarted policy behaves the same whether or
+        # not update_energy (re-plans included) ran while it slept.
+        policy = BraidioPolicy()
+        policy.start(0.5, 1.0, 100.0)
+        for i in range(300):
+            decision = policy.next_packet()
+            policy.record_outcome(decision.mode, i % 7 != 0)
+        refreshed, skipped = policy, copy.deepcopy(policy)
+        for hub_j in (80.0, 20.0, 5.0, 0.5):
+            refreshed.update_energy(1.0, hub_j)
+        assert refreshed.controller.replans > skipped.controller.replans
+        for restarted in (refreshed, skipped):
+            restarted.start(0.7, 0.9, 0.3)
+        for i in range(2000):
+            a, b = refreshed.next_packet(), skipped.next_packet()
+            assert a == b
+            refreshed.record_outcome(a.mode, i % 5 != 0)
+            skipped.record_outcome(b.mode, i % 5 != 0)
+            if i % 64 == 0:
+                refreshed.update_energy(0.9 - i * 1e-4, 0.3 - i * 1e-4)
+                skipped.update_energy(0.9 - i * 1e-4, 0.3 - i * 1e-4)
 
 
 class TestLpUpperBound:

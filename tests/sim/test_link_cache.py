@@ -9,6 +9,7 @@ from repro.core.modes import LinkMode
 from repro.core.regimes import LinkMap
 from repro.hardware.battery import Battery
 from repro.phy.fading import BlockFadingProcess, RayleighFading
+from repro.phy.modulation import bit_error_rate, packet_error_rate
 from repro.sim.interference import BurstyInterferer, InterferedLink
 from repro.sim.link import SimulatedLink
 from repro.sim.policies import BraidioPolicy, FixedModePolicy
@@ -105,11 +106,21 @@ class TestFadingBypass:
         assert len(snrs) > 1
 
     def test_interfered_link_disables_cache(self):
-        rng = np.random.default_rng(0)
-        link = InterferedLink(
-            LinkMap(), 0.5, rng, BurstyInterferer(np.random.default_rng(1))
+        # The burst-blind (mode, bitrate, bits) memo stays off: every
+        # memoized PER is keyed by the burst state too and equals the
+        # uncached derivation bit for bit (full coverage lives in
+        # test_interfered_link_memo.py).
+        interferer = BurstyInterferer(
+            np.random.default_rng(1), mean_on_s=0.05, mean_off_s=0.1
         )
-        assert not link.cache_enabled
+        link = InterferedLink(LinkMap(), 0.5, np.random.default_rng(0), interferer)
+        shape = (LinkMode.BACKSCATTER, 1_000_000, 328)
+        for t in np.linspace(0.0, 2.0, 101):
+            budget = LinkMap().budget(LinkMode.BACKSCATTER, 1_000_000)
+            snr = budget.snr_db(0.5, 1_000_000) - interferer.snr_penalty_at(t)
+            per = packet_error_rate(bit_error_rate(budget.modulation, snr), 328)
+            assert link.expected_packet_success(*shape, t) == 1.0 - per
+        assert set(link._per_cache) == {(*shape, False), (*shape, True)}
 
 
 def _run_session(policy, cache, seed=0, distance=0.8, packets=2000, **kwargs):
