@@ -31,13 +31,13 @@ experiment is one registration (DESIGN.md §13).
 
 The ``--jobs`` / ``--cache-dir`` / ``--no-cache`` flags drive the
 campaign engine (:mod:`repro.runtime`): figure-level work fans across
-worker processes and completed jobs are cached on disk keyed by content
-fingerprint + calibration version, so a warm re-run skips all simulation
-(verifiable from the printed run manifest's ``cached`` count).  Cached
-campaigns also keep a write-ahead journal, so a killed sweep continues
-with ``campaign ... --resume`` (bit-identical results; see DESIGN.md
-§10), and ``--max-failures N`` turns a failure storm into an early,
-non-zero-exit abort.
+forked worker processes and completed jobs are cached on disk keyed by
+content fingerprint + calibration version, so a warm re-run skips all
+simulation (verifiable from the printed run manifest's ``cached``
+count).  Cached campaigns also keep write-ahead journals, so a killed
+sweep continues with ``campaign ... --resume`` (bit-identical results;
+see DESIGN.md §10), and ``--max-failures N`` turns a failure storm into
+an early, non-zero-exit abort.
 """
 
 from __future__ import annotations
@@ -463,8 +463,8 @@ def _add_shard_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--workers", type=_positive_int, default=None, metavar="N",
-        help="spawn N shard-worker processes that lease, run and steal "
-        "shards (default: min(shards, CPUs)); needs --cache-dir",
+        help="fork N worker processes that lease, run and steal shards "
+        "(default: min(shards, CPUs)); needs --cache-dir",
     )
     parser.add_argument(
         "--lease-s", type=float, default=30.0, metavar="S",
@@ -620,20 +620,6 @@ def main(argv: list[str] | None = None) -> int:
     _add_campaign_flags(campaign)
     _add_shard_flags(campaign)
     _add_backend_flag(campaign)
-    shard_worker = subparsers.add_parser(
-        "shard-worker",
-        help="internal: one shard-worker process (spawned by "
-        "campaign/deploy --workers; leases shards from the plan's "
-        "journals until none remain)",
-    )
-    shard_worker.add_argument(
-        "--plan", type=Path, required=True, metavar="PATH",
-        help="shard plan JSON written by the coordinator",
-    )
-    shard_worker.add_argument(
-        "--worker-id", required=True, metavar="NAME",
-        help="stable worker identity recorded in lease records",
-    )
     deploy = subparsers.add_parser(
         "deploy",
         help="simulate a city-scale deployment scenario: partition into "
@@ -701,10 +687,6 @@ def main(argv: list[str] | None = None) -> int:
         return _faults(args)
     if args.command == "campaign":
         return _run_campaign_command(args)
-    if args.command == "shard-worker":
-        from .runtime import run_shard_worker
-
-        return run_shard_worker(args.plan, args.worker_id)
     if args.command == "deploy":
         return _run_deploy_command(args)
 

@@ -6,7 +6,7 @@ scenario's ``coupling_threshold_db`` can hear each other's bursts, so
 their sessions must be co-simulated.  Thresholding every pair yields an
 *interference graph*; its connected components are regions that share no
 RF path and therefore simulate as fully independent jobs — the lever
-that lets a 10k-device city fan out across a process pool.
+that lets a 10k-device city fan out across worker processes.
 
 Within a region, hubs get TDMA reuse channels by greedy graph coloring
 (:func:`~repro.net.tdma.assign_reuse_channels`); only edges that survive

@@ -2,7 +2,7 @@
 
 A single hub (phone/laptop) owns one radio, so concurrent clients share
 air time in slots.  Slots are weighted: a camera streaming at 30 fps gets
-more slots than a heartbeat sensor.  The schedule is periodic and
+more slots than a pulse-rate sensor.  The schedule is periodic and
 deterministic, like the mode schedule, and composes with it — within its
 slot a client pair runs its own mode mix.
 """
@@ -33,8 +33,9 @@ class TdmaSchedule:
         round_packets: packets per TDMA round.
 
     Raises:
-        ValueError: on empty/negative weights or a round too short to give
-            every client a slot.
+        ValueError: on empty/negative weights, a client named twice in a
+            weight sequence, or a round too short to give every client a
+            slot.
     """
 
     def __init__(
@@ -48,6 +49,10 @@ class TdmaSchedule:
         else:
             pairs = list(weights)
             self._weights = dict(pairs)
+            if len(self._weights) != len(pairs):
+                names = [name for name, _ in pairs]
+                repeated = next(n for i, n in enumerate(names) if n in names[:i])
+                raise ValueError(f"client {repeated!r} appears more than once")
             values = [w for _, w in pairs]
         if not values:
             raise ValueError("at least one client required")

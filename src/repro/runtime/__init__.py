@@ -1,13 +1,13 @@
 """Parallel campaign engine.
 
 Fans embarrassingly-parallel simulation jobs (gain-matrix cells,
-distance-sweep points, Monte-Carlo samples) across worker processes with
-content-derived deterministic seeding, an on-disk result cache keyed by
-job fingerprint + calibration version (checksummed, with corruption
-quarantine), a write-ahead journal enabling crash-safe ``--resume``,
-hung-worker supervision, bounded retries and a structured run manifest.
-See DESIGN.md §3 for the module inventory and §10 for the durability
-contract.
+distance-sweep points, Monte-Carlo samples) across forked worker
+processes that lease deterministic shards through write-ahead journals,
+with content-derived deterministic seeding, an on-disk result cache
+keyed by job fingerprint + calibration version (checksummed, with
+corruption quarantine), crash-safe ``--resume``, bounded retries and a
+structured run manifest.  See DESIGN.md §3 for the module inventory and
+§10 for the runtime contract.
 """
 
 from .cache import ResultCache, calibration_fingerprint

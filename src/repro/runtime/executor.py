@@ -1,47 +1,41 @@
-"""Fault-tolerant, durable campaign execution.
+"""Campaign execution: triage, then one engine.
 
 ``run_campaign`` takes a list of :class:`JobSpec` and returns one outcome
-per spec, in submission order.  Execution strategy:
+per spec, in submission order:
 
-* **resume first** — with ``resume=True`` and a journal on disk, jobs the
-  journal marks ``done`` are served from the result cache after their
-  payload checksum is verified against the journaled one;
+* **resume first** — with ``resume=True``, jobs the campaign's journals
+  mark ``done`` are served from the result cache after their payload
+  checksum is verified against the journaled one;
 * **cache second** — jobs whose fingerprint is already in the result
   cache (same calibration) are served without running anything;
-* **write-ahead journal** — when a journal directory is available (any
-  cached campaign gets one by default) every dispatch/done/failed
-  transition is fsync'd to an append-only JSONL file *before* the next
-  state change, so a SIGKILL mid-sweep loses at most the in-flight jobs;
-* **process pool** — remaining jobs are chunked and dispatched to a
-  ``ProcessPoolExecutor`` when ``n_jobs > 1``, with a per-job timeout
-  budget applied per chunk;
-* **worker supervision** — workers heartbeat between jobs; if the whole
-  pool stalls for ``hang_timeout_s`` the watchdog terminates it, salvages
-  every completed future, and rebuilds the pool (once per
-  ``pool_rebuilds``, with exponential backoff) for the unfinished chunks;
-* **bounded retry** — chunks that time out or die, and jobs that raise,
-  are retried serially in-process with exponential backoff, up to
-  ``max_retries`` extra attempts; ``max_failures`` turns a failure storm
-  into an early abort;
-* **graceful degradation** — if the pool cannot be created at all (some
-  sandboxes forbid semaphores) the whole campaign transparently runs
-  serially;
+* **one engine for the rest** — the pending jobs go to the shard
+  coordinator (:mod:`repro.runtime.shard`) over K = 2·n_jobs shards
+  (one shard at ``n_jobs=1``, which keeps submission order).  It writes
+  the write-ahead shard journals, forks ``n_jobs`` workers when
+  ``n_jobs > 1``, and otherwise runs the shards in-process.  A campaign
+  without a cache directory still gets journals when ``n_jobs > 1``:
+  they live in a private temporary directory, removed on return;
+* **in memory** — an uncached ``n_jobs=1`` campaign runs in-process
+  with no journal at all;
+* **bounded retry** — every execution, in a worker or in-process, goes
+  through :func:`_run_attempts`: exponential backoff, up to
+  ``max_retries`` extra attempts;
+* **failure budget** — ``max_failures`` counts *distinct* failed jobs,
+  seeded from the journals on resume, and aborts the rest of the run;
 * **signal safety** — SIGINT/SIGTERM are journaled as an interruption
   and the partial manifest is flushed before the exception propagates.
 
 Because every job's RNG derives from (campaign seed, spec fingerprint)
 (:mod:`repro.runtime.seeding`), outcomes are bit-identical whatever the
-worker count, chunking, execution order — or how many times the campaign
-was killed and resumed along the way.  See DESIGN.md §10 for the
-durability contract.
+worker count, shard count, execution order — or how many times the
+campaign was killed and resumed along the way.  See DESIGN.md §10 for
+the runtime contract.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
-import math
-import os
-import shutil
 import signal
 import tempfile
 import threading
@@ -52,7 +46,7 @@ from pathlib import Path
 
 from .cache import ResultCache, calibration_fingerprint
 from .jobs import JobSpec, job_runner
-from .journal import CampaignJournal, campaign_fingerprint, metrics_checksum
+from .journal import JournalReplay, campaign_fingerprint
 from .progress import CampaignProgress, RunManifest
 from .seeding import job_rng
 
@@ -65,14 +59,9 @@ class CampaignConfig:
     """Execution knobs for one campaign.
 
     Attributes:
-        n_jobs: worker processes; 1 means in-process serial execution.
-        timeout_s: per-job wall-time budget (pool mode only; pooled chunks
-            get ``len(chunk) * timeout_s``).  ``None`` disables timeouts.
+        n_jobs: worker processes; 1 means in-process execution.
         max_retries: extra attempts after a job's first failure.
-        backoff_s: base of the exponential retry (and pool-rebuild)
-            backoff.
-        chunk_size: jobs per pool task; defaults to an even split across
-            ``4 * n_jobs`` chunks.
+        backoff_s: base of the exponential retry backoff.
         campaign_seed: root seed for per-job RNG derivation.
         cache_dir: result-cache directory, or ``None`` for no caching.
         use_cache: when ``False`` the cache is neither read nor written
@@ -80,54 +69,34 @@ class CampaignConfig:
         journal_dir: where write-ahead journals live; defaults to
             ``<cache_dir>/journal`` when caching is active, else no
             journaling.
-        resume: replay the campaign's journal and skip jobs whose results
-            are journaled ``done`` and still verify against the cache.
-        max_failures: abort the campaign once this many jobs have failed
-            (remaining jobs settle as failed without running); ``None``
-            disables the bound.
-        hang_timeout_s: pool watchdog — if no future completes and no
-            worker heartbeats for this long, the pool is declared hung,
-            terminated and rebuilt.  ``None`` disables the watchdog.
-        pool_rebuilds: how many times a hung pool may be rebuilt before
-            its unfinished jobs fall back to serial execution.
+        resume: replay the campaign's journals and skip jobs whose
+            results are journaled ``done`` and still verify against the
+            cache.
+        max_failures: abort the campaign once this many distinct jobs
+            have failed (remaining jobs settle as failed without
+            running); ``None`` disables the bound.
     """
 
     n_jobs: int = 1
-    timeout_s: float | None = None
     max_retries: int = 2
     backoff_s: float = 0.05
-    chunk_size: int | None = None
     campaign_seed: int = 0
     cache_dir: Path | str | None = None
     use_cache: bool = True
     journal_dir: Path | str | None = None
     resume: bool = False
     max_failures: int | None = None
-    hang_timeout_s: float | None = None
-    pool_rebuilds: int = 1
 
     def __post_init__(self) -> None:
         if self.n_jobs < 1:
             raise ValueError(f"n_jobs must be >= 1, got {self.n_jobs!r}")
-        if self.timeout_s is not None and self.timeout_s <= 0.0:
-            raise ValueError(f"timeout must be positive, got {self.timeout_s!r}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries!r}")
         if self.backoff_s < 0.0:
             raise ValueError(f"backoff must be >= 0, got {self.backoff_s!r}")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size!r}")
         if self.max_failures is not None and self.max_failures < 1:
             raise ValueError(
                 f"max_failures must be >= 1, got {self.max_failures!r}"
-            )
-        if self.hang_timeout_s is not None and self.hang_timeout_s <= 0.0:
-            raise ValueError(
-                f"hang_timeout must be positive, got {self.hang_timeout_s!r}"
-            )
-        if self.pool_rebuilds < 0:
-            raise ValueError(
-                f"pool_rebuilds must be >= 0, got {self.pool_rebuilds!r}"
             )
 
     def serial(self) -> "CampaignConfig":
@@ -282,6 +251,12 @@ class _FailureLedger:
     def failure(self, fingerprint: str) -> None:
         self.failed.add(fingerprint)
 
+    def observe(self, states: "Iterable[JournalReplay]") -> None:
+        """Fold the settlements shard journals report (idempotent)."""
+        for state in states:
+            self.failed.update(state.failed)
+            self.failed.difference_update(state.done)
+
     @property
     def breached(self) -> bool:
         return self.max_failures is not None and len(self.failed) >= self.max_failures
@@ -303,7 +278,7 @@ class _SignalGuard:
     Installed only in the main thread (Python forbids handlers
     elsewhere); previous handlers are restored on exit.  SIGTERM becomes
     ``SystemExit(128 + signum)`` so ``finally`` blocks — journal flush,
-    pool teardown, partial-manifest recording — still run before the
+    worker teardown, partial-manifest recording — still run before the
     process dies.
     """
 
@@ -338,7 +313,7 @@ class _SignalGuard:
 
 
 # --------------------------------------------------------------------------
-# Worker entry points.
+# Execution.
 
 
 def execute_job(spec: JobSpec, campaign_seed: int = 0) -> dict:
@@ -352,51 +327,34 @@ def execute_job(spec: JobSpec, campaign_seed: int = 0) -> dict:
     return runner(spec, job_rng(spec, campaign_seed))
 
 
-def _touch_heartbeat(heartbeat_dir: "str | None") -> None:
-    if not heartbeat_dir:
-        return
-    try:
-        path = os.path.join(heartbeat_dir, f"{os.getpid()}.hb")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(f"{time.time():.6f}\n")
-    except OSError:  # pragma: no cover - heartbeat loss must never kill a job
-        pass
+def _run_attempts(
+    spec: JobSpec, campaign_seed: int, max_retries: int, backoff_s: float
+) -> "tuple[dict | None, str, int, float]":
+    """Run one job with bounded retry and exponential backoff.
 
-
-def _execute_chunk(
-    specs: list[JobSpec],
-    campaign_seed: int,
-    heartbeat_dir: "str | None" = None,
-) -> list[tuple[str, object, float]]:
-    """Worker entry point: run a chunk, never raising per-job errors.
-
-    Returns one ``(status, payload, duration_s)`` triple per spec, where
-    payload is the metrics dict on ``"ok"`` and the error string on
-    ``"error"``.  Between jobs the worker touches a per-PID heartbeat
-    file so the coordinator's watchdog can tell *hung* from *busy*.
+    The one attempt loop of the runtime: shard workers and the
+    in-process paths both call it.  Returns ``(metrics, error, attempts,
+    duration_s)`` — metrics ``None`` when every attempt raised, error the
+    last one's message, duration that of the last attempt.
     """
-    results: list[tuple[str, object, float]] = []
-    for spec in specs:
-        _touch_heartbeat(heartbeat_dir)
+    attempts = 0
+    error = "not attempted"
+    duration = 0.0
+    while attempts <= max_retries:
+        if attempts > 0 and backoff_s > 0.0:
+            time.sleep(backoff_s * (2.0 ** (attempts - 1)))
+        attempts += 1
         started = time.perf_counter()
         try:
-            metrics = execute_job(spec, campaign_seed)
-        except Exception as exc:  # noqa: BLE001 - reported to the coordinator
-            results.append(
-                ("error", f"{type(exc).__name__}: {exc}", time.perf_counter() - started)
-            )
+            result = execute_job(spec, campaign_seed)
+        except Exception as exc:  # noqa: BLE001 - retried then reported
+            error = f"{type(exc).__name__}: {exc}"
+            duration = time.perf_counter() - started
         else:
-            results.append(("ok", metrics, time.perf_counter() - started))
-    _touch_heartbeat(heartbeat_dir)
-    return results
-
-
-def _chunked(items: list, size: int) -> list[list]:
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
-# --------------------------------------------------------------------------
-# Campaign driver.
+            duration = time.perf_counter() - started
+            metrics = result if isinstance(result, dict) else {"value": result}
+            return metrics, "", attempts, duration
+    return None, error, attempts, duration
 
 
 def run_campaign(
@@ -410,14 +368,32 @@ def run_campaign(
         specs: the jobs, in submission order.
         config: execution knobs (defaults to :class:`CampaignConfig`).
         resume: overrides ``config.resume`` when given — replay the
-            write-ahead journal, serve journaled-``done`` jobs from the
-            cache after checksum verification, and re-dispatch only the
+            campaign's journals, serve journaled-``done`` jobs from the
+            cache after checksum verification, and run only the
             remainder.  Resumed results are bit-identical to an
             uninterrupted run (content-derived seeding).
     """
     config = config if config is not None else CampaignConfig()
-    do_resume = config.resume if resume is None else bool(resume)
-    specs = list(specs)
+    return _execute(
+        list(specs), config, config.resume if resume is None else bool(resume)
+    )
+
+
+def _execute(
+    specs: "list[JobSpec]",
+    config: CampaignConfig,
+    resume: bool,
+    shard_config=None,
+    on_progress=None,
+) -> CampaignResult:
+    """Triage, then run the pending jobs (see the module docstring).
+
+    With an explicit ``shard_config`` (:func:`~repro.runtime.shard.\
+run_sharded_campaign`) there is no triage: every job goes to the
+    coordinator, which forks ``shard_config.workers`` workers.
+    """
+    from .shard import ShardConfig, _run_shards, replay_shards, shard_root
+
     slot = _claim_manifest_slot()
     progress = CampaignProgress(total=len(specs))
     cache = (
@@ -426,116 +402,161 @@ def run_campaign(
         else None
     )
     calibration = cache.calibration if cache is not None else ""
-
-    journal: "CampaignJournal | None" = None
-    campaign_fp = ""
     journal_dir = config.resolved_journal_dir()
-    if journal_dir is not None:
+    explicit = shard_config is not None
+    forked = explicit or config.n_jobs > 1
+    coordinated = forked or journal_dir is not None
+    campaign_fp = ""
+    if coordinated:
         campaign_fp = campaign_fingerprint(
             specs, config.campaign_seed, calibration or calibration_fingerprint()
         )
-        journal = CampaignJournal(journal_dir / f"{campaign_fp}.jsonl", campaign_fp)
 
-    replay = None
-    if do_resume and journal is not None and cache is not None:
-        replay = journal.replay()
-        if replay.campaign and replay.campaign != campaign_fp:
-            replay = None  # foreign journal: distrust it entirely
-
+    prior: "JournalReplay | None" = None
+    if resume and journal_dir is not None and cache is not None:
+        prior = replay_shards(shard_root(journal_dir, campaign_fp))
     # Failures journaled by an earlier interrupted run keep counting
     # toward the budget; a fingerprint is struck once the job succeeds.
     ledger = _FailureLedger(
-        config.max_failures,
-        prior=replay.failed if replay is not None else (),
+        config.max_failures, prior.failed if prior is not None else ()
     )
 
-    outcomes: dict[int, JobOutcome] = {}
-    pending: list[tuple[int, JobSpec]] = []
+    outcomes: "dict[int, JobOutcome]" = {}
+    pending: "list[tuple[int, JobSpec]]" = []
     for index, spec in enumerate(specs):
-        if replay is not None:
-            checksum = replay.done.get(spec.fingerprint())
+        if not explicit:
+            hit = None
+            status = "cached"
+            checksum = prior.done.get(spec.fingerprint()) if prior else None
             if checksum is not None:
                 hit = cache.get_verified(spec, checksum)  # type: ignore[union-attr]
-                if hit is not None:
-                    outcomes[index] = JobOutcome(spec=spec, status="resumed", metrics=hit)
-                    progress.record(spec.kind, "resumed")
-                    ledger.success(spec.fingerprint())
-                    continue
-        hit = cache.get(spec) if cache is not None else None
-        if hit is not None:
-            outcomes[index] = JobOutcome(spec=spec, status="cached", metrics=hit)
-            progress.record(spec.kind, "cached")
-            ledger.success(spec.fingerprint())
-        else:
-            pending.append((index, spec))
+                status = "resumed"
+            if hit is None and cache is not None:
+                hit = cache.get(spec)
+                status = "cached"
+            if hit is not None:
+                outcomes[index] = JobOutcome(spec=spec, status=status, metrics=hit)
+                progress.record(spec.kind, status)
+                ledger.success(spec.fingerprint())
+                continue
+        pending.append((index, spec))
 
+    def settle(i: int, outcome: JobOutcome) -> None:
+        outcomes[pending[i][0]] = outcome
+        progress.record(
+            outcome.spec.kind, outcome.status, retries=max(outcome.attempts - 1, 0)
+        )
+
+    if shard_config is None:
+        shard_config = ShardConfig(
+            shards=2 * config.n_jobs if forked else 1, workers=config.n_jobs
+        )
+    steals, aborted = 0, None
     guard = _SignalGuard()
+
+    def manifest(interrupted: bool) -> RunManifest:
+        return _finalize_manifest(
+            progress, shard_config.workers, config.campaign_seed, calibration,
+            campaign_fp if journal_dir is not None else "",
+            str(shard_root(journal_dir, campaign_fp)) if journal_dir else None,
+            outcomes, len(specs), interrupted,
+            # Only an explicitly sharded run reports its layout: a
+            # ``run_campaign`` manifest is the same at every n_jobs.
+            shards=min(shard_config.shards, len(pending)) if explicit else 0,
+            steals=steals,
+        )
+
     try:
         with guard:
-            if journal is not None:
-                journal.begin(len(specs), config.campaign_seed, calibration)
-                for _, spec in pending:
-                    journal.dispatched(spec)
-            leftovers: list = pending
-            if pending and config.n_jobs > 1:
-                leftovers = _run_pooled(
-                    pending, config, cache, progress, outcomes, journal, ledger
-                )
-            if leftovers:
-                _run_serial(
-                    leftovers, config, cache, progress, outcomes, journal, ledger
-                )
-    except (KeyboardInterrupt, SystemExit) as exc:
-        # Journal the interruption and flush the partial manifest so the
-        # settled prefix is recoverable, then let the signal win.
-        reason = guard.reason or type(exc).__name__
-        if journal is not None:
-            journal.interrupted(reason, progress.settled)
-            journal.close()
-        _record_manifest(
-            slot,
-            _finalize_manifest(
-                progress, config, calibration, campaign_fp, journal, outcomes,
-                len(specs), interrupted=True,
+            if pending and coordinated:
+                # Without a cache, workers exchange results (and journal)
+                # through a private directory that goes when we return.
+                with (
+                    tempfile.TemporaryDirectory(prefix="repro-campaign-")
+                    if cache is None
+                    else contextlib.nullcontext()
+                ) as private:
+                    steals, aborted = _run_shards(
+                        [spec for _, spec in pending], config, shard_config,
+                        cache if cache is not None else ResultCache(private),
+                        shard_root(journal_dir or private, campaign_fp),
+                        campaign_fp, ledger, settle, guard,
+                        forked=forked, on_progress=on_progress,
+                    )
+            elif pending:
+                _run_serial(pending, config, ledger, settle)
+    except (KeyboardInterrupt, SystemExit):
+        _record_manifest(slot, manifest(interrupted=True))
+        raise
+    result = manifest(interrupted=aborted is not None)
+    _record_manifest(slot, result)
+    return CampaignResult(
+        outcomes=tuple(outcomes[i] for i in range(len(specs))), manifest=result
+    )
+
+
+def _run_serial(
+    pending: "list[tuple[int, JobSpec]]",
+    config: CampaignConfig,
+    ledger: _FailureLedger,
+    settle,
+) -> None:
+    """Run jobs in memory, in submission order; once the failure budget
+    is breached every remaining job settles as failed without running."""
+    for i, (_, spec) in enumerate(pending):
+        if ledger.breached:
+            settle(
+                i,
+                JobOutcome(
+                    spec=spec, status="failed", metrics=None,
+                    error=ledger.abort_message(),
+                ),
+            )
+            continue
+        metrics, error, attempts, duration = _run_attempts(
+            spec, config.campaign_seed, config.max_retries, config.backoff_s
+        )
+        if metrics is not None:
+            ledger.success(spec.fingerprint())
+        else:
+            ledger.failure(spec.fingerprint())
+        settle(
+            i,
+            JobOutcome(
+                spec=spec,
+                status="completed" if metrics is not None else "failed",
+                metrics=metrics,
+                error=None if metrics is not None else error,
+                attempts=attempts,
+                duration_s=duration,
             ),
         )
-        raise
-    else:
-        if journal is not None:
-            journal.end(
-                progress.completed, progress.failed, progress.cached + progress.resumed
-            )
-            journal.close()
-
-    manifest = _finalize_manifest(
-        progress, config, calibration, campaign_fp, journal, outcomes, len(specs),
-        interrupted=False,
-    )
-    _record_manifest(slot, manifest)
-    return CampaignResult(
-        outcomes=tuple(outcomes[i] for i in range(len(specs))),
-        manifest=manifest,
-    )
 
 
 def _finalize_manifest(
     progress: CampaignProgress,
-    config: CampaignConfig,
+    n_jobs: int,
+    campaign_seed: int,
     calibration: str,
     campaign_fp: str,
-    journal: "CampaignJournal | None",
+    journal: "str | None",
     outcomes: "dict[int, JobOutcome]",
     total: int,
     interrupted: bool,
+    shards: int = 0,
+    steals: int = 0,
 ) -> RunManifest:
     """Freeze progress into a manifest, merging any energy breakdowns."""
     manifest = progress.manifest(
-        n_jobs=config.n_jobs,
+        n_jobs=n_jobs,
         calibration=calibration,
-        campaign_seed=config.campaign_seed,
+        campaign_seed=campaign_seed,
         campaign=campaign_fp,
-        journal=str(journal.path) if journal is not None else None,
+        journal=journal,
         interrupted=interrupted,
+        shards=shards,
+        workers=n_jobs if shards else 0,
+        steals=steals,
     )
     # Jobs that report a ledger breakdown get their category totals
     # merged into the manifest, so campaign records carry the attributed
@@ -555,324 +576,3 @@ def _finalize_manifest(
     if energy is not None:
         manifest = replace(manifest, energy=energy)
     return manifest
-
-
-def _settle(
-    index: int,
-    spec: JobSpec,
-    status: str,
-    payload: object,
-    attempts: int,
-    duration_s: float,
-    cache: ResultCache | None,
-    progress: CampaignProgress,
-    outcomes: dict[int, JobOutcome],
-    journal: "CampaignJournal | None" = None,
-    ledger: "_FailureLedger | None" = None,
-) -> None:
-    if status == "ok":
-        metrics = payload if isinstance(payload, dict) else {"value": payload}
-        if cache is not None:
-            cache.put(spec, metrics)
-        if journal is not None:
-            journal.done(spec, metrics_checksum(metrics))
-        if ledger is not None:
-            ledger.success(spec.fingerprint())
-        outcomes[index] = JobOutcome(
-            spec=spec,
-            status="completed",
-            metrics=metrics,
-            attempts=attempts,
-            duration_s=duration_s,
-        )
-        progress.record(spec.kind, "completed", retries=attempts - 1)
-    else:
-        error = str(payload)
-        if journal is not None:
-            journal.failed(spec, error)
-        if ledger is not None:
-            ledger.failure(spec.fingerprint())
-        outcomes[index] = JobOutcome(
-            spec=spec,
-            status="failed",
-            metrics=None,
-            error=error,
-            attempts=attempts,
-            duration_s=duration_s,
-        )
-        progress.record(spec.kind, "failed", retries=max(attempts - 1, 0))
-
-
-def _remove_heartbeat_dir(path: Path) -> None:
-    """Remove a heartbeat directory after its writers are gone.
-
-    A worker caught between the sweep's scandir and the final rmdir can
-    still drop a last ``.hb`` file; retry briefly so the tree never
-    outlives the campaign.
-    """
-    for _ in range(5):
-        shutil.rmtree(path, ignore_errors=True)
-        if not path.exists():
-            return
-        time.sleep(0.02)
-    shutil.rmtree(path, ignore_errors=True)
-
-
-def _heartbeat_snapshot(heartbeat_dir: Path) -> "dict[str, int]":
-    """Current heartbeat files and their mtimes (ns), {} when unreadable."""
-    try:
-        return {
-            entry.name: entry.stat().st_mtime_ns
-            for entry in os.scandir(heartbeat_dir)
-            if entry.name.endswith(".hb")
-        }
-    except OSError:
-        return {}
-
-
-def _terminate_pool(pool) -> None:
-    """Hard-stop a (presumed hung) pool: SIGTERM workers, then clean up.
-
-    ``shutdown(wait=False)`` alone would leave hung workers alive and the
-    interpreter blocked on them at exit; terminating the processes first
-    guarantees the pool dies with the campaign, at the cost of reaching
-    into ``_processes`` (stable since 3.7).
-    """
-    processes = list(getattr(pool, "_processes", {}).values())
-    for process in processes:
-        try:
-            process.terminate()
-        except Exception:  # noqa: BLE001 - already-dead workers
-            pass
-    pool.shutdown(wait=False, cancel_futures=True)
-    for process in processes:
-        try:
-            process.join(timeout=2.0)
-            if process.is_alive():
-                process.kill()
-        except Exception:  # noqa: BLE001
-            pass
-
-
-def _run_pooled(
-    pending: list[tuple[int, JobSpec]],
-    config: CampaignConfig,
-    cache: ResultCache | None,
-    progress: CampaignProgress,
-    outcomes: dict[int, JobOutcome],
-    journal: "CampaignJournal | None" = None,
-    ledger: "_FailureLedger | None" = None,
-) -> list:
-    """Dispatch ``pending`` through a supervised process pool.
-
-    Returns the jobs that still need serial attention (chunk-level
-    timeouts, worker crashes, per-job errors, hung-pool leftovers — each
-    retains one recorded attempt).  Never raises on pool failure: an
-    unusable pool leaves everything pending.
-
-    Supervision: a poll loop watches future completions, per-chunk
-    deadlines and worker heartbeat files.  When nothing progresses for
-    ``hang_timeout_s`` the pool is terminated, completed futures keep
-    their results, and unfinished chunks are resubmitted to a fresh pool
-    (``pool_rebuilds`` times, exponential backoff) before degrading to
-    serial execution.
-    """
-    import concurrent.futures as futures
-
-    chunk_size = config.chunk_size or max(
-        1, math.ceil(len(pending) / (config.n_jobs * 4))
-    )
-    chunks = _chunked(pending, chunk_size)
-    leftovers: list = []
-    rebuilds_left = config.pool_rebuilds
-
-    while chunks:
-        try:
-            pool = futures.ProcessPoolExecutor(max_workers=config.n_jobs)
-        except (OSError, PermissionError, ValueError):
-            # Sandbox without process support: degrade to serial, zero
-            # attempts burned.
-            for chunk in chunks:
-                leftovers.extend(chunk)
-            return leftovers
-
-        heartbeat_dir = Path(tempfile.mkdtemp(prefix="repro-heartbeat-"))
-        submitted: "dict[object, list[tuple[int, JobSpec]]]" = {}
-        deadlines: "dict[object, float]" = {}
-        hung = False
-        try:
-            for chunk in chunks:
-                future = pool.submit(
-                    _execute_chunk,
-                    [spec for _, spec in chunk],
-                    config.campaign_seed,
-                    str(heartbeat_dir),
-                )
-                submitted[future] = chunk
-
-            not_done = set(submitted)
-            heartbeats = _heartbeat_snapshot(heartbeat_dir)
-            last_progress = time.monotonic()
-            tick = 0.1
-            if config.hang_timeout_s is not None:
-                tick = min(tick, config.hang_timeout_s / 5.0)
-            while not_done:
-                done, not_done = futures.wait(
-                    not_done, timeout=tick, return_when=futures.FIRST_COMPLETED
-                )
-                now = time.monotonic()
-                if done:
-                    last_progress = now
-                for future in done:
-                    chunk = submitted.pop(future)
-                    deadlines.pop(future, None)
-                    try:
-                        results = future.result()
-                    except Exception as exc:  # noqa: BLE001 - crash: retry serially
-                        reason = f"pool chunk failed: {type(exc).__name__}: {exc}"
-                        leftovers.extend(
-                            (index, spec, 1, reason) for index, spec in chunk
-                        )
-                        continue
-                    for (index, spec), (status, payload, duration) in zip(
-                        chunk, results
-                    ):
-                        if status == "ok":
-                            _settle(
-                                index, spec, "ok", payload, 1, duration, cache,
-                                progress, outcomes, journal, ledger,
-                            )
-                        else:
-                            leftovers.append((index, spec, 1, str(payload)))
-                # Per-chunk deadlines: the budget clock starts when the
-                # chunk begins *running* (queued chunks are not slow).
-                # An expired running chunk means a worker is stuck in a
-                # job — hang evidence, not just a deep queue.
-                if config.timeout_s is not None:
-                    for future in not_done:
-                        if future not in deadlines and future.running():
-                            deadlines[future] = (
-                                now + config.timeout_s * len(submitted[future])
-                            )
-                for future in [f for f in not_done if f in deadlines]:
-                    if now < deadlines[future]:
-                        continue
-                    chunk = submitted.pop(future)
-                    budget = config.timeout_s * len(chunk)  # type: ignore[operator]
-                    reason = f"pool chunk failed: timed out after {budget:.3f}s"
-                    leftovers.extend((index, spec, 1, reason) for index, spec in chunk)
-                    deadlines.pop(future)
-                    not_done.discard(future)
-                    if not future.cancel():
-                        hung = True
-                snapshot = _heartbeat_snapshot(heartbeat_dir)
-                if snapshot != heartbeats:
-                    heartbeats = snapshot
-                    last_progress = now
-                if (
-                    config.hang_timeout_s is not None
-                    and not_done
-                    and now - last_progress >= config.hang_timeout_s
-                ):
-                    hung = True
-                if hung:
-                    break
-
-            remaining = [submitted[future] for future in not_done]
-            for future in not_done:
-                future.cancel()
-        except BaseException:
-            # Interrupt/teardown path: don't leave hung workers alive.
-            _terminate_pool(pool)
-            _remove_heartbeat_dir(heartbeat_dir)
-            raise
-
-        if not hung:
-            pool.shutdown(wait=False, cancel_futures=True)
-            _remove_heartbeat_dir(heartbeat_dir)
-            return leftovers
-
-        # Workers must be dead before the heartbeat sweep: a live worker
-        # dropping one more ``.hb`` file mid-rmtree would silently leak
-        # the whole directory (ENOTEMPTY swallowed by ignore_errors).
-        _terminate_pool(pool)
-        _remove_heartbeat_dir(heartbeat_dir)
-        if rebuilds_left > 0 and remaining:
-            # Salvage completed futures (already settled above), back off
-            # exponentially, and give the unfinished chunks a fresh pool.
-            attempt = config.pool_rebuilds - rebuilds_left
-            if config.backoff_s > 0.0:
-                time.sleep(config.backoff_s * (2.0**attempt))
-            rebuilds_left -= 1
-            progress.record_pool_rebuild()
-            chunks = remaining
-            continue
-        for chunk in remaining:
-            leftovers.extend(
-                (index, spec, 1, "pool hung: no worker progress within "
-                 f"{config.hang_timeout_s}s and rebuild budget exhausted")
-                for index, spec in chunk
-            )
-        return leftovers
-
-    return leftovers
-
-
-def _run_serial(
-    pending: list,
-    config: CampaignConfig,
-    cache: ResultCache | None,
-    progress: CampaignProgress,
-    outcomes: dict[int, JobOutcome],
-    journal: "CampaignJournal | None" = None,
-    ledger: "_FailureLedger | None" = None,
-) -> None:
-    """Run jobs in-process with bounded retry and exponential backoff.
-
-    Honors ``config.max_failures`` through the failure ledger: once the
-    campaign's *distinct* failed-job count — including failures journaled
-    by an interrupted run this one resumed — reaches the bound, every
-    remaining job settles as failed without executing (bounded-failure
-    early abort).
-    """
-    ledger = ledger if ledger is not None else _FailureLedger(config.max_failures)
-    abort_error: "str | None" = None
-    if ledger.breached:
-        abort_error = ledger.abort_message()
-    for entry in pending:
-        index, spec = entry[0], entry[1]
-        attempts = entry[2] if len(entry) > 2 else 0
-        error = entry[3] if len(entry) > 3 else "not attempted"
-        if abort_error is not None:
-            _settle(
-                index, spec, "error", abort_error, attempts, 0.0, cache, progress,
-                outcomes, journal, ledger,
-            )
-            continue
-        duration = 0.0
-        settled = False
-        while attempts <= config.max_retries:
-            if attempts > 0 and config.backoff_s > 0.0:
-                time.sleep(config.backoff_s * (2.0 ** (attempts - 1)))
-            attempts += 1
-            started = time.perf_counter()
-            try:
-                metrics = execute_job(spec, config.campaign_seed)
-            except Exception as exc:  # noqa: BLE001 - retried then reported
-                error = f"{type(exc).__name__}: {exc}"
-                duration = time.perf_counter() - started
-            else:
-                duration = time.perf_counter() - started
-                _settle(
-                    index, spec, "ok", metrics, attempts, duration, cache, progress,
-                    outcomes, journal, ledger,
-                )
-                settled = True
-                break
-        if not settled:
-            _settle(
-                index, spec, "error", error, attempts, duration, cache, progress,
-                outcomes, journal, ledger,
-            )
-            if ledger.breached:
-                abort_error = ledger.abort_message()

@@ -24,7 +24,6 @@ class CampaignProgress:
     cached: int = 0
     resumed: int = 0
     retries: int = 0
-    pool_rebuilds: int = 0
     kinds: dict[str, int] = field(default_factory=dict)
     _started: float = field(default_factory=time.perf_counter, repr=False)
 
@@ -46,10 +45,6 @@ class CampaignProgress:
             raise ValueError(f"unknown job status {status!r}")
         self.retries += retries
         self.kinds[kind] = self.kinds.get(kind, 0) + 1
-
-    def record_pool_rebuild(self) -> None:
-        """Account one watchdog-triggered worker-pool rebuild."""
-        self.pool_rebuilds += 1
 
     @property
     def settled(self) -> int:
@@ -82,7 +77,6 @@ class CampaignProgress:
             cached=self.cached,
             resumed=self.resumed,
             retries=self.retries,
-            pool_rebuilds=self.pool_rebuilds,
             wall_time_s=wall,
             jobs_per_s=(executed / wall) if wall > 0.0 and executed else 0.0,
             n_jobs=n_jobs,
@@ -110,8 +104,6 @@ class RunManifest:
         resumed: jobs skipped via journal replay, each verified against
             the cache checksum the journal recorded (resume runs only).
         retries: extra attempts beyond each job's first.
-        pool_rebuilds: worker pools torn down and rebuilt by the hung
-            -worker watchdog.
         wall_time_s: campaign wall-clock time.
         jobs_per_s: executed jobs (completed + failed) per second.
         n_jobs: configured worker count.
@@ -120,17 +112,20 @@ class RunManifest:
         kinds: settled-job count per job kind.
         campaign: campaign content fingerprint (job set + seed +
             calibration); "" when the campaign ran unjournaled.
-        journal: journal file the run appended to, or ``None`` — the
-            resume lineage pointer.
-        interrupted: whether a signal ended this run early (the manifest
-            then covers only the settled prefix).
+        journal: the campaign's shard-journal directory, or ``None`` —
+            the resume lineage pointer.
+        interrupted: whether the run ended early — a signal, or the
+            coordinator aborting on the failure budget (the manifest then
+            covers only the settled prefix).
         energy: merged ledger category totals (label -> joules) of jobs
             that reported an energy breakdown, or ``None`` when the
             campaign carried none (omitted from the JSON form).
-        shards: shard count of a sharded run (0 = unsharded; the shard
-            fields are then omitted from the JSON form).
-        workers: worker processes of a sharded run.
-        steals: expired leases picked up by a different worker.
+        shards: shard count of an explicitly sharded run
+            (``run_sharded_campaign``; 0 otherwise, and the shard fields
+            are then omitted from the JSON form).
+        workers: worker processes of an explicitly sharded run.
+        steals: shards that changed hands without their holder giving
+            them up (expired leases, leases of workers that died).
     """
 
     total: int
@@ -146,7 +141,6 @@ class RunManifest:
     kinds: dict[str, int]
     energy: "dict[str, float] | None" = None
     resumed: int = 0
-    pool_rebuilds: int = 0
     campaign: str = ""
     journal: "str | None" = None
     interrupted: bool = False
@@ -163,7 +157,6 @@ class RunManifest:
             "cached": self.cached,
             "resumed": self.resumed,
             "retries": self.retries,
-            "pool_rebuilds": self.pool_rebuilds,
             "wall_time_s": round(self.wall_time_s, 6),
             "jobs_per_s": round(self.jobs_per_s, 3),
             "n_jobs": self.n_jobs,
@@ -228,7 +221,6 @@ class RunManifest:
             cached=sum(m.cached for m in manifests),
             resumed=sum(m.resumed for m in manifests),
             retries=sum(m.retries for m in manifests),
-            pool_rebuilds=sum(m.pool_rebuilds for m in manifests),
             wall_time_s=wall,
             jobs_per_s=(executed / wall) if wall > 0.0 and executed else 0.0,
             n_jobs=max(m.n_jobs for m in manifests),
@@ -264,7 +256,8 @@ class ShardSnapshot:
         owner: current lease holder ("" when unleased).
         lease_remaining_s: seconds until the lease expires (<= 0 means
             stealable).
-        steals: times an expired lease was picked up by another worker.
+        steals: times the shard changed hands without its holder
+            giving it up.
         finished: whether the shard journaled its ``end`` record.
         interrupted: whether the shard journaled an abort.
         jobs_per_s: smoothed settle throughput observed by the board.

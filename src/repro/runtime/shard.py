@@ -1,15 +1,19 @@
-"""Sharded multi-worker campaigns on the write-ahead-journal backbone.
+"""The campaign coordinator: shards, leases, forked workers, merge.
 
-A campaign's fingerprint-space is deterministically partitioned into K
-**shards**; N worker *processes* then race to *lease* shards through
-per-shard append-only journals.  Everything rides the PR-5 durability
-primitives — the shared result cache, checksummed ``done`` records, the
-crash-tolerant replay — so the coordinator adds coordination, never new
-persistence:
+Every parallel or journaled campaign runs here.  ``run_campaign`` hands
+over the jobs its resume/cache triage left pending (with K = 2·n_jobs
+shards); :func:`run_sharded_campaign` hands over a whole campaign with
+an explicit K.  Both go through the same steps:
 
 * **partition** — specs are ordered by content fingerprint and dealt
   round-robin into K shards, so the split depends only on the job set,
   never on submission order or worker count;
+* **journals** — each shard gets an append-only journal under
+  :func:`shard_root`; the coordinator opens every one with a ``begin``
+  record, so nothing an earlier run left there (leases, ``end``,
+  ``interrupted``) carries over, while its ``done``/``failed`` records
+  stay readable for a resume.  Workers append without waiting on the
+  disk; the coordinator fsyncs every shard journal at each poll;
 * **leases** — a worker claims a shard by appending a ``lease`` record
   (worker id, pid, wall-clock deadline, nonce) and re-reading the
   journal: ``O_APPEND`` gives every contender the same total order, and
@@ -17,27 +21,29 @@ persistence:
   renewed by the same worker, or already expired at the claim's
   timestamp.  Both racers apply the same pure function to the same
   bytes, so they agree on the winner without any other IPC;
-* **steal** — an expired lease is claimable by anyone: a SIGKILLed or
-  hung worker's shard is picked up by a survivor and *resumed from its
-  journal* — settled ``done`` records are verified against the cache and
-  never recomputed.  A worker that finishes its own shards steals the
-  in-flight shard with the most unsettled jobs past its deadline (the
-  straggler policy);
-* **failure budgets** — each worker enforces the per-shard budget
-  (counting *distinct* failed jobs, including ones journaled by previous
-  holders) and journals an ``interrupted`` record on breach; the
-  coordinator enforces the global budget across all shard journals and
-  tears the fleet down cleanly, again with journaled ``interrupted``
-  records;
-* **merge** — the coordinator folds the shard journals back into one
-  :class:`~repro.runtime.executor.CampaignResult` in submission order,
-  reading every payload from the checksum-verified cache.  Because job
-  results are pure functions of (spec, campaign seed), the
-  :func:`results_manifest` of a sharded run is **byte-identical** to an
-  uninterrupted single-process run, whatever worker ran which shard or
-  how many steals happened along the way.
+* **workers** — forked processes run :func:`run_shard_worker`: lease,
+  run, steal until no shard is left.  A worker that finds its
+  coordinator gone (``os.getppid()`` changed) gives its lease back at the
+  next job boundary and exits;
+* **steal** — an expired lease is claimable by anyone: a hung worker's
+  shard is picked up by a free worker and *resumed from its journal* —
+  settled ``done`` records are verified against the cache and never
+  recomputed.  A worker that died has its lease released by the
+  coordinator at once.  When no live worker is left to claim a
+  claimable shard (all dead, all stuck in a job, or none could be
+  started; ``n_jobs=1`` starts none), the coordinator runs it itself;
+* **failure budget** — one ledger of *distinct* failed jobs (seeded from
+  the journals on resume) against ``max_failures``; on breach the
+  coordinator stops the fleet and journals ``interrupted`` into every
+  unfinished shard;
+* **merge** — the coordinator folds the shard journals back into
+  outcomes in submission order, reading every payload from the
+  checksum-verified cache.  Because job results are pure functions of
+  (spec, campaign seed), the :func:`results_manifest` of any run is
+  **byte-identical** to an uninterrupted single-process run, whatever
+  worker ran which shard or how many steals happened along the way.
 
-See DESIGN.md §14 for the full sharding contract.
+See DESIGN.md §10 for the runtime contract.
 """
 
 from __future__ import annotations
@@ -45,31 +51,37 @@ from __future__ import annotations
 import json
 import os
 import secrets
-import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .cache import ResultCache, calibration_fingerprint
+from .cache import ResultCache
 from .executor import (
     CampaignConfig,
     CampaignResult,
     JobOutcome,
-    _claim_manifest_slot,
-    _record_manifest,
+    _FailureLedger,
     _SignalGuard,
-    execute_job,
+    _execute,
+    _run_attempts,
 )
 from .jobs import JobSpec
-from .journal import CampaignJournal, campaign_fingerprint, metrics_checksum
-from .progress import CampaignProgress, ShardBoard
+from .journal import CampaignJournal, JournalReplay, metrics_checksum, replay_journal
+from .progress import ShardBoard
 
-#: Schema version of the shard plan / shard journal record extensions.
+if TYPE_CHECKING:
+    from multiprocessing.process import BaseProcess
+
+#: Schema version of the results manifest.
 SHARD_FORMAT = 1
 
-#: Subdirectory (under the journal dir) holding shard plans and journals.
+#: Subdirectory (under the journal dir) holding the shard journals.
 SHARD_SUBDIR = "shards"
+
+#: Lease holder name of the coordinator when it runs shards itself.
+COORDINATOR = "coordinator"
 
 
 @dataclass(frozen=True)
@@ -79,25 +91,17 @@ class ShardConfig:
     Attributes:
         shards: number of shards the fingerprint-space is split into
             (clamped to the job count).
-        workers: worker processes the coordinator spawns.
+        workers: worker processes the coordinator forks.
         lease_s: lease duration; a worker renews at job boundaries once
             less than half of it remains, and a lease this stale is
             stealable.  Must comfortably exceed the slowest single job.
         poll_s: worker/coordinator journal polling tick.
-        shard_max_failures: per-shard failure budget (distinct failed
-            jobs, including ones journaled by previous lease holders);
-            breach journals ``interrupted`` and abandons the shard.
-        preload: module names workers import before running jobs, so
-            campaigns over non-builtin job kinds can register their
-            runners in fresh worker interpreters.
     """
 
     shards: int = 2
     workers: int = 2
     lease_s: float = 30.0
     poll_s: float = 0.05
-    shard_max_failures: "int | None" = None
-    preload: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -108,10 +112,6 @@ class ShardConfig:
             raise ValueError(f"lease must be positive, got {self.lease_s!r}")
         if self.poll_s <= 0.0:
             raise ValueError(f"poll must be positive, got {self.poll_s!r}")
-        if self.shard_max_failures is not None and self.shard_max_failures < 1:
-            raise ValueError(
-                f"shard_max_failures must be >= 1, got {self.shard_max_failures!r}"
-            )
 
 
 # --------------------------------------------------------------------------
@@ -135,11 +135,11 @@ def partition_shards(specs: "list[JobSpec]", n_shards: int) -> "list[list[int]]"
 
 
 # --------------------------------------------------------------------------
-# Shard plan: the on-disk contract between coordinator and workers.
+# Shard plan: what the coordinator hands its forked workers.
 
 
 def shard_root(journal_dir: "Path | str", campaign: str) -> Path:
-    """Directory holding one campaign's shard plan and journals."""
+    """Directory holding one campaign's shard journals."""
     return Path(journal_dir) / SHARD_SUBDIR / campaign
 
 
@@ -150,7 +150,8 @@ def shard_journal_path(root: "Path | str", index: int) -> Path:
 
 @dataclass(frozen=True)
 class ShardPlan:
-    """Everything a worker needs to run its slice of a campaign."""
+    """Everything a worker needs to run its slice of a campaign (workers
+    are forked, so they receive it in memory)."""
 
     campaign: str
     campaign_seed: int
@@ -162,77 +163,12 @@ class ShardPlan:
     poll_s: float
     max_retries: int
     backoff_s: float
-    shard_max_failures: "int | None"
-    preload: tuple[str, ...] = ()
 
     def shard_specs(self, index: int) -> "list[tuple[int, JobSpec]]":
         """(submission index, spec) members of one shard, in submission
         order — the same order a single-process run would execute them."""
         members = sorted(self.shards[index])
         return [(i, self.specs[i]) for i in members]
-
-    def to_dict(self) -> "dict[str, object]":
-        return {
-            "format": SHARD_FORMAT,
-            "campaign": self.campaign,
-            "campaign_seed": self.campaign_seed,
-            "calibration": self.calibration,
-            "cache_dir": self.cache_dir,
-            "specs": [spec.to_dict() for spec in self.specs],
-            "shards": [list(shard) for shard in self.shards],
-            "lease_s": self.lease_s,
-            "poll_s": self.poll_s,
-            "max_retries": self.max_retries,
-            "backoff_s": self.backoff_s,
-            "shard_max_failures": self.shard_max_failures,
-            "preload": list(self.preload),
-        }
-
-
-def write_shard_plan(path: "Path | str", plan: ShardPlan) -> Path:
-    """Atomically persist a plan (temp file + ``os.replace``)."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(plan.to_dict(), sort_keys=True, indent=1)
-    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-    tmp.write_text(payload + "\n", encoding="utf-8")
-    os.replace(tmp, target)
-    return target
-
-
-def load_shard_plan(path: "Path | str") -> ShardPlan:
-    """Load and validate a plan written by :func:`write_shard_plan`.
-
-    Raises:
-        ValueError: on schema drift (wrong format, malformed fields) —
-            a worker must never run a plan it does not fully understand.
-    """
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, dict) or data.get("format") != SHARD_FORMAT:
-        raise ValueError(
-            f"shard plan {path} has format {data.get('format')!r}, "
-            f"expected {SHARD_FORMAT}"
-        )
-    specs = tuple(JobSpec.from_dict(entry) for entry in data["specs"])
-    shards = tuple(tuple(int(i) for i in shard) for shard in data["shards"])
-    covered = sorted(i for shard in shards for i in shard)
-    if covered != list(range(len(specs))):
-        raise ValueError(f"shard plan {path} does not cover every spec exactly once")
-    raw_budget = data.get("shard_max_failures")
-    return ShardPlan(
-        campaign=str(data["campaign"]),
-        campaign_seed=int(data["campaign_seed"]),
-        calibration=str(data["calibration"]),
-        cache_dir=str(data["cache_dir"]),
-        specs=specs,
-        shards=shards,
-        lease_s=float(data["lease_s"]),
-        poll_s=float(data["poll_s"]),
-        max_retries=int(data["max_retries"]),
-        backoff_s=float(data["backoff_s"]),
-        shard_max_failures=None if raw_budget is None else int(raw_budget),
-        preload=tuple(str(m) for m in data.get("preload", [])),
-    )
 
 
 # --------------------------------------------------------------------------
@@ -255,127 +191,46 @@ class ShardJournal(CampaignJournal):
             }
         )
 
-    def release(self, worker: str, nonce: str) -> None:
-        """Voluntarily give the shard up (shard finished or abandoned)."""
-        self._append({"event": "release", "worker": worker, "nonce": nonce})
+    def release(self, worker: str, nonce: str, reclaimed: bool = False) -> None:
+        """Give the shard up: voluntarily (shard finished or abandoned),
+        or — ``reclaimed`` — on behalf of a holder that died."""
+        record: "dict[str, object]" = {
+            "event": "release", "worker": worker, "nonce": nonce,
+        }
+        if reclaimed:
+            record["reclaimed"] = True
+        self._append(record)
 
 
-@dataclass
-class ShardState:
-    """What one shard's journal says: settled jobs plus lease ownership.
-
-    Replayed with the same torn-write tolerance as the campaign journal:
-    malformed lines (a crash-truncated tail, interleaved garbage) are
-    counted and skipped, and a settled ``done`` record is never dropped.
-    """
-
-    done: "dict[str, str]" = field(default_factory=dict)
-    failed: "dict[str, str]" = field(default_factory=dict)
-    dispatched: "set[str]" = field(default_factory=set)
-    holder: "str | None" = None
-    holder_pid: "int | None" = None
-    deadline: float = 0.0
-    nonce: str = ""
-    steals: int = 0
-    finished: bool = False
-    interrupted: bool = False
-    malformed_lines: int = 0
-
-    def settled(self) -> "set[str]":
-        """Jobs with a terminal record (``done`` wins over ``failed``)."""
-        return set(self.done) | set(self.failed)
-
-    def leased(self, now: float) -> bool:
-        """Whether an unexpired lease is outstanding."""
-        return self.holder is not None and now < self.deadline
-
-    def claimable(self, now: float) -> bool:
-        """Whether a worker may claim this shard right now."""
-        return not self.finished and not self.leased(now)
+def replay_shard_journal(path: "Path | str") -> JournalReplay:
+    """The latest run's view of one shard journal (see
+    :func:`~repro.runtime.journal.replay_journal`); never raises."""
+    return replay_journal(path, current_run=True)
 
 
-def replay_shard_journal(path: "Path | str") -> ShardState:
-    """Parse a shard journal into a :class:`ShardState`; never raises.
-
-    The lease state machine is a pure function of the journal bytes:
-    every reader sees the same ``O_APPEND`` total order, so contending
-    claimants independently agree on who holds the shard.  A claim is
-    granted iff the previous granted lease was released, belongs to the
-    same worker (renewal), or had already expired at the claim's own
-    timestamp.
-    """
-    state = ShardState()
-    try:
-        text = Path(path).read_text(encoding="utf-8", errors="replace")
-    except OSError:
-        return state
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            state.malformed_lines += 1
-            continue
-        if not isinstance(record, dict):
-            state.malformed_lines += 1
-            continue
-        event = record.get("event")
-        job = record.get("job")
-        if event == "lease":
-            worker = record.get("worker")
-            if not isinstance(worker, str) or not worker:
-                state.malformed_lines += 1
-                continue
-            try:
-                claim_time = float(record.get("time", 0.0))
-                deadline = float(record.get("deadline", 0.0))
-            except (TypeError, ValueError):
-                state.malformed_lines += 1
-                continue
-            granted = (
-                state.holder is None
-                or state.holder == worker
-                or state.deadline <= claim_time
-            )
-            if granted:
-                if state.holder is not None and state.holder != worker:
-                    state.steals += 1
-                state.holder = worker
-                state.holder_pid = (
-                    int(record["pid"]) if isinstance(record.get("pid"), int) else None
-                )
-                state.deadline = deadline
-                state.nonce = str(record.get("nonce", ""))
-        elif event == "release":
-            if record.get("worker") == state.holder:
-                state.holder = None
-                state.holder_pid = None
-                state.deadline = 0.0
-                state.nonce = ""
-        elif event == "dispatched" and isinstance(job, str):
-            state.dispatched.add(job)
-        elif event == "done" and isinstance(job, str):
-            checksum = record.get("checksum")
-            state.done[job] = checksum if isinstance(checksum, str) else ""
-            state.failed.pop(job, None)
-        elif event == "failed" and isinstance(job, str):
-            if job not in state.done:
-                state.failed[job] = str(record.get("error", ""))
-        elif event == "end":
-            state.finished = True
-        elif event == "interrupted":
-            state.interrupted = True
-        elif event == "begin":
-            pass
-        else:
-            state.malformed_lines += 1
-    return state
+def replay_shards(root: "Path | str") -> JournalReplay:
+    """Every shard journal under ``root`` folded into one history replay
+    (all runs): what a resume trusts.  A ``done`` in any shard journal
+    supersedes a ``failed`` in another."""
+    merged = JournalReplay()
+    for path in sorted(Path(root).glob("shard-*.jsonl")):
+        replay = replay_journal(path)
+        merged.done.update(replay.done)
+        merged.failed.update(replay.failed)
+        merged.finished_runs = max(merged.finished_runs, replay.finished_runs)
+        merged.interrupted = merged.interrupted or replay.interrupted
+    for fingerprint in merged.done:
+        merged.failed.pop(fingerprint, None)
+    return merged
 
 
 def claim_shard(
-    path: "Path | str", worker: str, lease_s: float, now: "float | None" = None
-) -> "tuple[ShardJournal, ShardState, str] | None":
+    path: "Path | str",
+    worker: str,
+    lease_s: float,
+    now: "float | None" = None,
+    sync: bool = True,
+) -> "tuple[ShardJournal, JournalReplay, str] | None":
     """Try to lease one shard; returns (journal, pre-claim state, nonce).
 
     The append-then-reread protocol: replay, append a claim, replay
@@ -387,7 +242,7 @@ def claim_shard(
     state = replay_shard_journal(path)
     if state.finished or (state.leased(now) and state.holder != worker):
         return None
-    journal = ShardJournal(path, campaign="")
+    journal = ShardJournal(path, campaign="", sync=sync)
     nonce = secrets.token_hex(8)
     journal.lease(worker, now, now + lease_s, nonce)
     confirmed = replay_shard_journal(path)
@@ -398,11 +253,7 @@ def claim_shard(
 
 
 # --------------------------------------------------------------------------
-# Worker.
-
-
-class _ShardAbort(Exception):
-    """Internal: the per-shard failure budget was breached."""
+# Running shards (workers and the coordinator alike).
 
 
 def _run_one_shard(
@@ -410,25 +261,32 @@ def _run_one_shard(
     index: int,
     worker: str,
     journal: ShardJournal,
-    state: ShardState,
+    state: JournalReplay,
     cache: ResultCache,
+    ledger: "_FailureLedger | None" = None,
+    stop=None,
 ) -> None:
     """Execute one leased shard's unsettled jobs, renewing the lease.
 
     Settled ``done`` records whose cache entry still verifies are never
-    recomputed; everything else runs with the executor's retry/backoff
-    semantics.  Raises :class:`_ShardAbort` after journaling an
-    ``interrupted`` record when the per-shard failure budget (distinct
-    failed jobs, including prior holders') is breached.
+    recomputed; everything else runs through the executor's attempt loop
+    (:func:`~repro.runtime.executor._run_attempts`).  Before each job the
+    shard is abandoned — no ``end`` record, so it stays claimable — when
+    ``ledger`` is breached, ``stop()`` says so, or a renewal finds the
+    shard stolen or finished.
     """
     deadline = time.time() + plan.lease_s
-    failures = set(state.failed)
     for _, spec in plan.shard_specs(index):
+        if (ledger is not None and ledger.breached) or (stop is not None and stop()):
+            return
         now = time.time()
         if deadline - now < plan.lease_s / 2.0:
             nonce = secrets.token_hex(8)
             deadline = now + plan.lease_s
             journal.lease(worker, now, deadline, nonce)
+            renewed = replay_shard_journal(journal.path)
+            if renewed.nonce != nonce or renewed.finished:
+                return  # stolen while we were busy: the thief finishes it
         fingerprint = spec.fingerprint()
         checksum = state.done.get(fingerprint)
         if checksum is not None and cache.get_verified(spec, checksum) is not None:
@@ -437,44 +295,32 @@ def _run_one_shard(
         if hit is not None:
             journal.done(spec, metrics_checksum(hit))
             continue
-        if (
-            plan.shard_max_failures is not None
-            and len(failures) >= plan.shard_max_failures
-        ):
-            journal.interrupted(
-                f"shard {index} failure budget "
-                f"(shard_max_failures={plan.shard_max_failures}) exhausted",
-                len(state.settled()),
-            )
-            raise _ShardAbort(f"shard {index} aborted")
         journal.dispatched(spec)
-        attempts = 0
-        error = "not attempted"
-        while attempts <= plan.max_retries:
-            if attempts > 0 and plan.backoff_s > 0.0:
-                time.sleep(plan.backoff_s * (2.0 ** (attempts - 1)))
-            attempts += 1
-            try:
-                metrics = execute_job(spec, plan.campaign_seed)
-            except Exception as exc:  # noqa: BLE001 - retried then journaled
-                error = f"{type(exc).__name__}: {exc}"
-            else:
-                cache.put(spec, metrics)
-                journal.done(spec, metrics_checksum(metrics))
-                failures.discard(fingerprint)
-                break
+        metrics, error, attempts, duration = _run_attempts(
+            spec, plan.campaign_seed, plan.max_retries, plan.backoff_s
+        )
+        if metrics is not None:
+            cache.put(spec, metrics)
+            journal.done(spec, metrics_checksum(metrics), attempts, duration)
+            if ledger is not None:
+                ledger.success(fingerprint)
         else:
-            journal.failed(spec, error)
-            failures.add(fingerprint)
-    journal.end(
-        completed=len(replay_shard_journal(journal.path).done),
-        failed=len(failures),
-        skipped=0,
-    )
+            journal.failed(spec, error, attempts, duration)
+            if ledger is not None:
+                ledger.failure(fingerprint)
+    final = replay_shard_journal(journal.path)
+    if final.holder == worker:
+        journal.end(completed=len(final.done), failed=len(final.failed), skipped=0)
+
+
+def _release_if_held(journal: ShardJournal, worker: str) -> None:
+    last = replay_shard_journal(journal.path)
+    if last.holder == worker:
+        journal.release(worker, last.nonce)
 
 
 def _pick_claimable(
-    plan: ShardPlan, states: "dict[int, ShardState]", now: float
+    plan: ShardPlan, states: "dict[int, JournalReplay]", now: float
 ) -> "int | None":
     """The shard a free worker should go for, or ``None``.
 
@@ -490,11 +336,7 @@ def _pick_claimable(
     ]
     if unleased:
         return min(unleased)
-    expired = [
-        index
-        for index, state in states.items()
-        if state.claimable(now)
-    ]
+    expired = [index for index, state in states.items() if state.claimable(now)]
     if not expired:
         return None
     remaining = {
@@ -504,376 +346,341 @@ def _pick_claimable(
     return min(expired, key=lambda index: (-remaining[index], index))
 
 
-def run_shard_worker(plan_path: "Path | str", worker: str) -> int:
-    """Worker entry point: lease, run and steal shards until none remain.
+def _commit(plan: ShardPlan, root: Path) -> None:
+    """fsync every shard journal: the group commit of the appends forked
+    workers make without waiting on the disk."""
+    for index in range(len(plan.shards)):
+        try:
+            fd = os.open(shard_journal_path(root, index), os.O_RDONLY)
+        except OSError:
+            continue
+        try:
+            os.fsync(fd)
+        except OSError:  # pragma: no cover - fs without fsync support
+            pass
+        finally:
+            os.close(fd)
 
-    Returns a process exit code: 0 when every shard is finished, 3 when
-    the worker stopped because a shard or campaign budget aborted the
-    run, 130/143 on SIGINT/SIGTERM (after journaling ``interrupted`` on
-    the currently-leased shard).
+
+def _replay_plan(plan: ShardPlan, root: Path) -> "dict[int, JournalReplay]":
+    return {
+        index: replay_shard_journal(shard_journal_path(root, index))
+        for index in range(len(plan.shards))
+    }
+
+
+def run_shard_worker(
+    plan: ShardPlan,
+    root: "Path | str",
+    worker: str,
+    ledger: "_FailureLedger | None" = None,
+) -> int:
+    """Worker loop: lease, run and steal the shards of ``plan`` whose
+    journals live under ``root``, until none remain.
+
+    ``ledger`` is the failure budget as the coordinator knew it when the
+    worker forked; the worker stops at the first job boundary where its
+    own failures breach it (the coordinator enforces the campaign-wide
+    count).  Returns a process exit code: 0 when every shard is
+    finished, 3 when it stopped early (budget, a shard journaled an
+    abort, or the coordinator went away), 130/143 on SIGINT/SIGTERM
+    (after journaling ``interrupted`` on the shard it still held).
     """
-    plan = load_shard_plan(plan_path)
-    for module in plan.preload:
-        __import__(module)
-    if plan.calibration and plan.calibration != calibration_fingerprint():
-        print(
-            f"shard worker {worker}: calibration drift "
-            f"(plan {plan.calibration}, local {calibration_fingerprint()})",
-            file=sys.stderr,
-        )
-        return 2
-    cache = ResultCache(plan.cache_dir)
-    # Shard journals live next to the plan file, wherever that is — the
-    # plan path is the one piece of location state workers receive.
-    root = Path(plan_path).resolve().parent
-    current: "tuple[ShardJournal, int] | None" = None
+    ledger = ledger if ledger is not None else _FailureLedger(None)
+    cache = ResultCache(plan.cache_dir, plan.calibration)
+    root = Path(root)
+    parent = os.getppid()
+
+    def orphaned() -> bool:
+        return os.getppid() != parent
+
+    current: "ShardJournal | None" = None
     guard = _SignalGuard()
-    aborted = False
     try:
         with guard:
-            while True:
+            while not orphaned() and not ledger.breached:
                 now = time.time()
-                states = {
-                    index: replay_shard_journal(shard_journal_path(root, index))
-                    for index in range(len(plan.shards))
-                }
+                states = _replay_plan(plan, root)
                 if all(state.finished for state in states.values()):
-                    break
+                    return 0
                 if any(state.interrupted for state in states.values()):
-                    aborted = True
                     break
                 target = _pick_claimable(plan, states, now)
                 if target is None:
                     time.sleep(plan.poll_s)
                     continue
                 claim = claim_shard(
-                    shard_journal_path(root, target), worker, plan.lease_s, now
+                    shard_journal_path(root, target), worker, plan.lease_s, now,
+                    sync=False,
                 )
                 if claim is None:
                     continue
-                journal, state, _ = claim
-                current = (journal, target)
+                current, state, _ = claim
                 try:
-                    _run_one_shard(plan, target, worker, journal, state, cache)
-                except _ShardAbort:
-                    aborted = True
-                    break
+                    _run_one_shard(
+                        plan, target, worker, current, state, cache, ledger, orphaned
+                    )
                 finally:
-                    last = replay_shard_journal(journal.path)
-                    if last.holder == worker:
-                        journal.release(worker, last.nonce)
-                    journal.close()
+                    _release_if_held(current, worker)
+                    current.close()
                     current = None
     except (KeyboardInterrupt, SystemExit) as exc:
         if current is not None:
-            journal, index = current
-            journal.interrupted(
-                guard.reason or type(exc).__name__,
-                len(replay_shard_journal(journal.path).settled()),
-            )
-            journal.release(worker, replay_shard_journal(journal.path).nonce)
-            journal.close()
+            last = replay_shard_journal(current.path)
+            if last.holder == worker:
+                if not last.finished:
+                    current.interrupted(
+                        guard.reason or type(exc).__name__, len(last.settled())
+                    )
+                current.release(worker, last.nonce)
+            current.close()
         code = getattr(exc, "code", None)
         return code if isinstance(code, int) else 130
-    return 3 if aborted else 0
+    return 3
 
 
-# --------------------------------------------------------------------------
-# Coordinator.
+def _worker_main(
+    plan: ShardPlan, root: Path, index: int, ledger: _FailureLedger
+) -> None:
+    sys.exit(run_shard_worker(plan, root, f"w{index}-{os.getpid()}", ledger))
 
 
-def _worker_env() -> "dict[str, str]":
-    """Environment for spawned workers: ensure ``repro`` is importable
-    from the same tree the coordinator runs, whatever the caller's CWD."""
-    env = dict(os.environ)
-    package_root = str(Path(__file__).resolve().parents[2])
-    existing = env.get("PYTHONPATH", "")
-    paths = existing.split(os.pathsep) if existing else []
-    if package_root not in paths:
-        env["PYTHONPATH"] = os.pathsep.join([package_root, *paths])
-    return env
+def _start_worker(
+    plan: ShardPlan, root: Path, index: int, ledger: _FailureLedger
+) -> "BaseProcess | None":
+    """Fork one worker (it inherits every registered job runner, the
+    plan and a copy of the failure ledger); ``None`` when the host
+    refuses to create the process."""
+    import multiprocessing  # only campaigns that fork pay for the import
 
-
-def _spawn_worker(plan_path: Path, worker: str, log_path: Path) -> "subprocess.Popen | None":
-    """Start one shard worker; ``None`` when the sandbox forbids it."""
+    process = multiprocessing.get_context("fork").Process(
+        target=_worker_main, args=(plan, root, index, ledger)
+    )
     try:
-        log = open(log_path, "w", encoding="utf-8")
+        process.start()
     except OSError:
         return None
-    try:
-        return subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro",
-                "shard-worker",
-                "--plan",
-                str(plan_path),
-                "--worker-id",
-                worker,
-            ],
-            stdout=log,
-            stderr=subprocess.STDOUT,
-            env=_worker_env(),
-            close_fds=True,
-        )
-    except (OSError, ValueError):
-        return None
-    finally:
-        log.close()
+    return process
 
 
-def _terminate_workers(workers: "dict[str, subprocess.Popen]") -> None:
-    """SIGTERM the fleet, then SIGKILL stragglers after a grace period."""
-    for proc in workers.values():
-        if proc.poll() is None:
-            try:
-                proc.terminate()
-            except OSError:
-                pass
+def _stop_workers(workers: "dict[str, BaseProcess]") -> None:
+    """SIGTERM every worker still alive, then SIGKILL stragglers after a
+    grace period.  Called once the run is over: a worker still alive is
+    idle, stuck in a job on a shard someone else finished, or aborted."""
+    for process in workers.values():
+        if process.is_alive():
+            process.terminate()
     deadline = time.monotonic() + 5.0
-    for proc in workers.values():
-        remaining = max(0.0, deadline - time.monotonic())
+    for process in workers.values():
+        process.join(max(0.0, deadline - time.monotonic()))
+        if process.is_alive():
+            process.kill()
+            process.join(5.0)
+
+
+def _coordinator_drain(
+    plan: ShardPlan, root: Path, cache: ResultCache, ledger: _FailureLedger
+) -> None:
+    """Run every currently-claimable shard in the coordinator process,
+    stopping early once the failure budget is breached."""
+    for index in range(len(plan.shards)):
+        if ledger.breached:
+            return
+        claim = claim_shard(shard_journal_path(root, index), COORDINATOR, plan.lease_s)
+        if claim is None:
+            continue
+        journal, state, _ = claim
         try:
-            proc.wait(timeout=remaining)
-        except subprocess.TimeoutExpired:
-            try:
-                proc.kill()
-                proc.wait(timeout=5.0)
-            except (OSError, subprocess.TimeoutExpired):
-                pass
+            _run_one_shard(plan, index, COORDINATOR, journal, state, cache, ledger)
+        finally:
+            _release_if_held(journal, COORDINATOR)
+            journal.close()
 
 
-def _distinct_failures(states: "dict[int, ShardState]") -> int:
-    """Campaign-wide failure count: distinct failed jobs across shards."""
-    failed: "set[str]" = set()
-    for state in states.values():
-        failed.update(state.failed)
-    return len(failed)
+def _reclaim_dead(
+    root: Path, states: "dict[int, JournalReplay]", workers: "dict[str, BaseProcess]"
+) -> bool:
+    """Release the leases of workers that died holding them (a steal:
+    the next claimant need not wait out the lease).  Returns whether any
+    lease was released."""
+    released = False
+    for index, state in states.items():
+        process = workers.get(state.holder or "")
+        if state.finished or process is None or process.is_alive():
+            continue
+        with ShardJournal(shard_journal_path(root, index), campaign="") as journal:
+            journal.release(state.holder or "", state.nonce, reclaimed=True)
+        released = True
+    return released
 
 
-def _merge_outcomes(
+def _drive(
     plan: ShardPlan,
-    states: "dict[int, ShardState]",
+    root: Path,
     cache: ResultCache,
-) -> "tuple[JobOutcome, ...]":
-    """Fold shard journals into submission-order outcomes.
-
-    Every ``done`` payload is read back through the checksum-verified
-    cache, so the merge trusts bytes, not processes.  Jobs without a
-    terminal record (budget aborts, total worker loss) settle as failed.
-    """
-    by_job: "dict[str, tuple[str, str]]" = {}
-    for state in states.values():
-        for fingerprint, checksum in state.done.items():
-            by_job[fingerprint] = ("done", checksum)
-        for fingerprint, error in state.failed.items():
-            by_job.setdefault(fingerprint, ("failed", error))
-    outcomes = []
-    for spec in plan.specs:
-        fingerprint = spec.fingerprint()
-        status, payload = by_job.get(fingerprint, ("missing", ""))
-        if status == "done":
-            metrics = cache.get_verified(spec, payload)
-            if metrics is not None:
-                outcomes.append(
-                    JobOutcome(spec=spec, status="completed", metrics=metrics)
-                )
-                continue
-            status, payload = (
-                "failed",
-                "journaled done but the cache entry no longer verifies",
-            )
-        if status == "missing":
-            payload = "never settled (campaign aborted before this job ran)"
-        outcomes.append(
-            JobOutcome(spec=spec, status="failed", metrics=None, error=payload)
-        )
-    return tuple(outcomes)
-
-
-def run_sharded_campaign(
-    specs: "list[JobSpec] | tuple[JobSpec, ...]",
-    config: "CampaignConfig | None" = None,
-    shard_config: "ShardConfig | None" = None,
+    n_workers: int,
+    ledger: _FailureLedger,
     on_progress=None,
-) -> CampaignResult:
-    """Partition, lease, execute and deterministically merge a campaign.
+) -> "tuple[dict[int, JournalReplay], str | None]":
+    """Run a written plan to the end: fork ``n_workers`` workers (0 runs
+    everything in-process), watch the journals, enforce the failure
+    budget, and claim shards no live worker will.  Returns the final
+    shard states and the abort reason (``None`` when every shard
+    finished).  The fleet is stopped on every exit path."""
+    board = ShardBoard.from_plan(plan.campaign, [len(s) for s in plan.shards])
+    workers: "dict[str, BaseProcess]" = {}
+    started = False
+    aborted: "str | None" = None
+    try:
+        while True:
+            now = time.time()
+            if workers:
+                _commit(plan, root)
+            states = _replay_plan(plan, root)
+            board.observe(states, now)
+            if on_progress is not None:
+                on_progress(board)
+            if all(state.finished for state in states.values()):
+                break
+            if any(state.interrupted for state in states.values()):
+                aborted = "aborted: a shard journaled an interruption"
+                break
+            ledger.observe(states.values())
+            if ledger.breached:
+                aborted = ledger.abort_message()
+                break
+            if not started:
+                started = True
+                for i in range(n_workers):
+                    process = _start_worker(plan, root, i, ledger)
+                    if process is not None:
+                        workers[f"w{i}-{process.pid}"] = process
+                continue
+            if _reclaim_dead(root, states, workers):
+                continue
+            # A live worker will claim a claimable shard unless it is
+            # stuck in a job on a shard whose lease it let expire.
+            stuck = {
+                state.holder
+                for state in states.values()
+                if not state.finished and not state.leased(now)
+            }
+            claimants = [
+                name for name, process in workers.items()
+                if name not in stuck and process.is_alive()
+            ]
+            if not claimants and any(s.claimable(now) for s in states.values()):
+                _coordinator_drain(plan, root, cache, ledger)
+                continue
+            # Wake early when a worker exits: the last one out usually
+            # just finished the last shard.
+            sentinels = [w.sentinel for w in workers.values() if w.is_alive()]
+            if sentinels:
+                from multiprocessing.connection import wait
 
-    The coordinator writes the shard plan, spawns ``workers`` shard
-    worker processes, watches the shard journals (feeding ``on_progress``
-    a :class:`~repro.runtime.progress.ShardBoard`), enforces the global
-    failure budget, and — if the whole fleet dies or the sandbox forbids
-    subprocesses — finishes the remaining shards *in-process* so the
-    campaign always completes.  Requires ``config.cache_dir``: results
-    flow between processes through the checksum-verified cache.
+                wait(sentinels, plan.poll_s)
+            else:
+                time.sleep(plan.poll_s)
+    finally:
+        _stop_workers(workers)
+        if workers:
+            _commit(plan, root)
+    return states, aborted
 
-    Raises:
-        ValueError: when ``config.cache_dir`` is unset.
+
+def _run_shards(
+    specs: "list[JobSpec]",
+    config: CampaignConfig,
+    shard_config: ShardConfig,
+    cache: ResultCache,
+    root: Path,
+    campaign: str,
+    ledger: _FailureLedger,
+    settle,
+    guard: _SignalGuard,
+    forked: bool = True,
+    on_progress=None,
+) -> "tuple[int, str | None]":
+    """Partition ``specs``, run them to the end and report every outcome.
+
+    ``settle(i, outcome)`` receives the outcome of ``specs[i]``; on a
+    signal only settled jobs are reported, after the fleet is stopped
+    and every unfinished shard journaled ``interrupted``.  With
+    ``forked=False`` the coordinator runs every shard itself.  Returns
+    (steals, abort reason).
     """
-    config = config if config is not None else CampaignConfig()
-    shard_config = shard_config if shard_config is not None else ShardConfig()
-    specs = list(specs)
-    if config.cache_dir is None or not config.use_cache:
-        raise ValueError(
-            "sharded campaigns need cache_dir: workers exchange results "
-            "through the checksum-verified cache"
-        )
-    slot = _claim_manifest_slot()
-    cache = ResultCache(config.cache_dir)
-    calibration = cache.calibration
-    campaign = campaign_fingerprint(specs, config.campaign_seed, calibration)
-    journal_dir = config.resolved_journal_dir()
-    assert journal_dir is not None  # cache_dir is set, so this resolves
-    root = shard_root(journal_dir, campaign)
     shards = partition_shards(specs, shard_config.shards)
     plan = ShardPlan(
         campaign=campaign,
         campaign_seed=config.campaign_seed,
-        calibration=calibration,
-        cache_dir=str(config.cache_dir),
+        calibration=cache.calibration,
+        cache_dir=str(cache.directory),
         specs=tuple(specs),
         shards=tuple(tuple(shard) for shard in shards),
         lease_s=shard_config.lease_s,
         poll_s=shard_config.poll_s,
         max_retries=config.max_retries,
         backoff_s=config.backoff_s,
-        shard_max_failures=shard_config.shard_max_failures,
-        preload=shard_config.preload,
     )
-    plan_path = write_shard_plan(root / "plan.json", plan)
-
-    progress = CampaignProgress(total=len(specs))
-    board = ShardBoard.from_plan(
-        campaign, [len(shard) for shard in plan.shards]
-    )
-    workers: "dict[str, subprocess.Popen]" = {}
-    aborted_reason: "str | None" = None
-    guard = _SignalGuard()
+    for index, members in enumerate(plan.shards):
+        with ShardJournal(shard_journal_path(root, index), campaign) as journal:
+            journal.begin(len(members), config.campaign_seed, plan.calibration)
     try:
-        with guard:
-            for i in range(shard_config.workers):
-                worker = f"w{i}"
-                proc = _spawn_worker(plan_path, worker, root / f"{worker}.log")
-                if proc is not None:
-                    workers[worker] = proc
+        states, aborted = _drive(
+            plan, root, cache, shard_config.workers if forked else 0, ledger,
+            on_progress,
+        )
+    except (KeyboardInterrupt, SystemExit) as exc:
+        _journal_abort(plan, root, guard.reason or type(exc).__name__)
+        _merge(plan, _replay_plan(plan, root), cache, None, settle)
+        raise
+    if aborted is not None:
+        _journal_abort(plan, root, aborted)
+    _merge(plan, states, cache, aborted or "", settle)
+    return sum(state.steals for state in states.values()), aborted
 
-            states: "dict[int, ShardState]" = {}
-            while True:
-                now = time.time()
-                states = {
-                    index: replay_shard_journal(shard_journal_path(root, index))
-                    for index in range(len(plan.shards))
-                }
-                board.observe(states, now)
-                if on_progress is not None:
-                    on_progress(board)
-                if all(state.finished for state in states.values()):
-                    break
-                if any(state.interrupted for state in states.values()):
-                    aborted_reason = "a shard journaled an interruption"
-                    break
-                if (
-                    config.max_failures is not None
-                    and _distinct_failures(states) >= config.max_failures
-                ):
-                    aborted_reason = (
-                        "campaign failure budget "
-                        f"(max_failures={config.max_failures}) exhausted"
-                    )
-                    break
-                alive = any(proc.poll() is None for proc in workers.values())
-                if not alive:
-                    # Fleet lost (or never started): finish in-process so
-                    # the campaign still completes — same lease protocol,
-                    # so a surviving external worker could still share.
-                    claimable = any(
-                        state.claimable(now) for state in states.values()
-                    )
-                    if claimable:
-                        _coordinator_drain(plan, root, cache, config.max_failures)
-                        continue
-                time.sleep(shard_config.poll_s)
 
-            if aborted_reason is not None:
-                _terminate_workers(workers)
-                _journal_abort(plan, root, aborted_reason)
-                states = {
-                    index: replay_shard_journal(shard_journal_path(root, index))
-                    for index in range(len(plan.shards))
-                }
-            else:
-                _reap_workers(workers)
-    except (KeyboardInterrupt, SystemExit):
-        _terminate_workers(workers)
-        _journal_abort(plan, root, guard.reason or "interrupted")
-        _record_manifest(
-            slot,
-            progress.manifest(
-                n_jobs=shard_config.workers,
-                calibration=calibration,
-                campaign_seed=config.campaign_seed,
-                campaign=campaign,
-                interrupted=True,
-                shards=len(plan.shards),
-                workers=shard_config.workers,
+def _merge(
+    plan: ShardPlan,
+    states: "dict[int, JournalReplay]",
+    cache: ResultCache,
+    unsettled: "str | None",
+    settle,
+) -> None:
+    """Fold shard journals into outcomes, reading every ``done`` payload
+    back through the checksum-verified cache (the merge trusts bytes,
+    not processes).  Jobs without a terminal record settle as failed
+    with ``unsettled`` as the reason, or are skipped when it is None."""
+    by_job: "dict[str, JournalReplay]" = {}
+    for state in states.values():
+        for fingerprint in state.settled():
+            by_job[fingerprint] = state
+    for i, spec in enumerate(plan.specs):
+        fingerprint = spec.fingerprint()
+        state = by_job.get(fingerprint)
+        if state is None:
+            if unsettled is not None:
+                error = f"never settled ({unsettled or 'campaign aborted'})"
+                settle(i, JobOutcome(spec=spec, status="failed", metrics=None, error=error))
+            continue
+        attempts, duration = state.effort.get(fingerprint, (0, 0.0))
+        metrics = None
+        if fingerprint in state.done:
+            metrics = cache.get_verified(spec, state.done[fingerprint])
+            error = "journaled done but the cache entry no longer verifies"
+        else:
+            error = state.failed[fingerprint]
+        settle(
+            i,
+            JobOutcome(
+                spec=spec,
+                status="completed" if metrics is not None else "failed",
+                metrics=metrics,
+                error=None if metrics is not None else error,
+                attempts=attempts,
+                duration_s=duration,
             ),
         )
-        raise
-
-    outcomes = _merge_outcomes(plan, states, cache)
-    for outcome in outcomes:
-        progress.record(
-            outcome.spec.kind,
-            "completed" if outcome.status == "completed" else "failed",
-        )
-    manifest = progress.manifest(
-        n_jobs=shard_config.workers,
-        calibration=calibration,
-        campaign_seed=config.campaign_seed,
-        campaign=campaign,
-        interrupted=aborted_reason is not None,
-        shards=len(plan.shards),
-        workers=shard_config.workers,
-        steals=sum(state.steals for state in states.values()),
-    )
-    _record_manifest(slot, manifest)
-    return CampaignResult(outcomes=outcomes, manifest=manifest)
-
-
-def _coordinator_drain(
-    plan: ShardPlan,
-    root: Path,
-    cache: ResultCache,
-    max_failures: "int | None" = None,
-) -> None:
-    """Run every currently-claimable shard in the coordinator process.
-
-    Returns early once the campaign-wide failure budget is breached, so
-    the caller's poll loop can abort instead of draining doomed shards.
-    """
-    for index in range(len(plan.shards)):
-        if max_failures is not None:
-            states = {
-                i: replay_shard_journal(shard_journal_path(root, i))
-                for i in range(len(plan.shards))
-            }
-            if _distinct_failures(states) >= max_failures:
-                return
-        path = shard_journal_path(root, index)
-        claim = claim_shard(path, "coordinator", plan.lease_s)
-        if claim is None:
-            continue
-        journal, state, _ = claim
-        try:
-            _run_one_shard(plan, index, "coordinator", journal, state, cache)
-        except _ShardAbort:
-            return
-        finally:
-            last = replay_shard_journal(path)
-            if last.holder == "coordinator":
-                journal.release("coordinator", last.nonce)
-            journal.close()
 
 
 def _journal_abort(plan: ShardPlan, root: Path, reason: str) -> None:
@@ -884,24 +691,40 @@ def _journal_abort(plan: ShardPlan, root: Path, reason: str) -> None:
         state = replay_shard_journal(path)
         if state.finished or state.interrupted:
             continue
-        journal = ShardJournal(path, campaign=plan.campaign)
-        try:
+        with ShardJournal(path, campaign=plan.campaign) as journal:
             journal.interrupted(reason, len(state.settled()))
-        finally:
-            journal.close()
 
 
-def _reap_workers(workers: "dict[str, subprocess.Popen]") -> None:
-    """Collect exited workers (all shards are finished by now)."""
-    for proc in workers.values():
-        try:
-            proc.wait(timeout=10.0)
-        except subprocess.TimeoutExpired:
-            try:
-                proc.terminate()
-                proc.wait(timeout=5.0)
-            except (OSError, subprocess.TimeoutExpired):
-                pass
+def run_sharded_campaign(
+    specs: "list[JobSpec] | tuple[JobSpec, ...]",
+    config: "CampaignConfig | None" = None,
+    shard_config: "ShardConfig | None" = None,
+    on_progress=None,
+) -> CampaignResult:
+    """Run a whole campaign over an explicit number of shards and workers.
+
+    Unlike :func:`~repro.runtime.executor.run_campaign` there is no
+    resume/cache triage up front: every job goes into the plan, and a
+    rerun over existing shard journals settles already-done jobs from the
+    verified cache inside the shards.  ``on_progress`` receives a
+    :class:`~repro.runtime.progress.ShardBoard` every poll.  Requires
+    ``config.cache_dir``: results flow between processes through the
+    checksum-verified cache.
+
+    Raises:
+        ValueError: when ``config.cache_dir`` is unset.
+    """
+    config = config if config is not None else CampaignConfig()
+    if config.cache_dir is None or not config.use_cache:
+        raise ValueError(
+            "sharded campaigns need cache_dir: workers exchange results "
+            "through the checksum-verified cache"
+        )
+    return _execute(
+        list(specs), config, False,
+        shard_config if shard_config is not None else ShardConfig(),
+        on_progress,
+    )
 
 
 # --------------------------------------------------------------------------

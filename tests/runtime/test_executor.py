@@ -92,10 +92,8 @@ class TestConfigValidation:
         "kwargs",
         [
             {"n_jobs": 0},
-            {"timeout_s": 0.0},
             {"max_retries": -1},
             {"backoff_s": -0.1},
-            {"chunk_size": 0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -119,15 +117,15 @@ class TestDeterminism:
         assert serial.metrics == parallel.metrics
         assert all(o.status == "completed" for o in parallel.outcomes)
 
-    def test_chunking_does_not_change_results(self):
+    def test_shard_count_does_not_change_results(self):
         specs = _mc_specs()
-        small = run_campaign(specs, CampaignConfig(n_jobs=2, chunk_size=1))
-        large = run_campaign(specs, CampaignConfig(n_jobs=2, chunk_size=6))
-        assert small.metrics == large.metrics
+        four = run_campaign(specs, CampaignConfig(n_jobs=2))  # 4 shards
+        six = run_campaign(specs, CampaignConfig(n_jobs=3))  # 6 shards
+        assert four.metrics == six.metrics
 
     def test_outcomes_follow_submission_order(self):
         specs = [JobSpec(kind="test.echo", seed=i) for i in range(10)]
-        result = run_campaign(specs, CampaignConfig(n_jobs=3, chunk_size=2))
+        result = run_campaign(specs, CampaignConfig(n_jobs=3))
         assert [o.spec.seed for o in result.outcomes] == list(range(10))
         assert [m["seed"] for m in result.metrics] == list(range(10))
 
@@ -194,8 +192,8 @@ class TestFaultTolerance:
             result.raise_on_failure()
 
     def test_worker_crash_then_serial_failure_keeps_last_error(self):
-        """ISSUE regression: when a pooled worker hard-crashes and the
-        serial-fallback retry also fails, the outcome must retain the
+        """When every worker hard-crashes on a job and the coordinator's
+        in-process run of it also fails, the outcome must retain the
         last error string, not a blank."""
         result = run_campaign(
             [JobSpec(kind="test.worker_crash")],
@@ -206,17 +204,20 @@ class TestFaultTolerance:
         assert outcome.error and outcome.error.strip()
         assert "serial fallback also failing" in outcome.error
 
-    def test_worker_crash_without_retry_budget_keeps_pool_error(self):
-        # With no serial retry budget, the recorded error must still be
-        # the pool-side failure, never blank.
+    def test_worker_crash_without_retry_budget_keeps_last_error(self):
+        # A crash journals nothing, so it burns no attempt: with no retry
+        # budget the job still gets its one attempt (in the coordinator,
+        # once every worker has died on it), and the recorded error is
+        # that attempt's, never blank.
         result = run_campaign(
             [JobSpec(kind="test.worker_crash")],
             CampaignConfig(n_jobs=2, max_retries=0, backoff_s=0.0),
         )
         outcome = result.outcomes[0]
         assert outcome.status == "failed"
-        assert outcome.error and outcome.error.strip()
-        assert "pool chunk failed" in outcome.error
+        assert outcome.attempts == 1
+        assert "serial fallback also failing" in outcome.error
+        assert result.manifest.steals >= 1
 
     def test_unknown_kind_fails_cleanly(self):
         result = run_campaign(
@@ -226,13 +227,13 @@ class TestFaultTolerance:
         assert result.outcomes[0].status == "failed"
         assert "no job runner" in result.outcomes[0].error
 
-    def test_pool_unavailable_degrades_to_serial(self, monkeypatch):
-        import concurrent.futures as futures
+    def test_process_creation_refused_drains_in_process(self, monkeypatch):
+        import os
 
-        def broken_pool(*args, **kwargs):
-            raise OSError("no semaphores in this sandbox")
+        def refuse_fork():
+            raise OSError("fork refused in this sandbox")
 
-        monkeypatch.setattr(futures, "ProcessPoolExecutor", broken_pool)
+        monkeypatch.setattr(os, "fork", refuse_fork)
         specs = _mc_specs(3)
         result = run_campaign(specs, CampaignConfig(n_jobs=4))
         assert all(o.status == "completed" for o in result.outcomes)
@@ -285,9 +286,9 @@ class TestRetryBackoff:
         assert outcome.attempts == 3
         assert "always broken" in outcome.error
 
-    def test_serial_fallback_reexecutes_exactly_the_failed_jobs(self, tmp_path):
-        """Jobs that erred in the pool re-run serially; their chunk-mates
-        that succeeded are settled from the pool result, not re-executed."""
+    def test_retry_reexecutes_exactly_the_failed_jobs(self, tmp_path):
+        """A job that errs in a worker is retried there; its shard-mates
+        that succeeded are never re-executed."""
         counts = tmp_path / "counts"
         counts.mkdir()
         flaky = JobSpec.with_params(
@@ -299,13 +300,13 @@ class TestRetryBackoff:
         ]
         result = run_campaign(
             [flaky] + steady,
-            CampaignConfig(n_jobs=2, chunk_size=2, max_retries=1, backoff_s=0.0),
+            CampaignConfig(n_jobs=2, max_retries=1, backoff_s=0.0),
         )
         assert [o.status for o in result.outcomes] == ["completed"] * 4
         executions = {
             p.name: len(p.read_text().splitlines()) for p in counts.iterdir()
         }
-        assert executions[flaky.fingerprint()] == 2  # pool failure + serial
+        assert executions[flaky.fingerprint()] == 2  # failure + retry
         for spec in steady:
             assert executions[spec.fingerprint()] == 1
 

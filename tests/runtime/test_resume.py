@@ -1,6 +1,7 @@
 """Crash-safe resume: journal replay, checksum verification, bit-identity."""
 
 import json
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,7 +10,8 @@ import pytest
 from repro.runtime.cache import ResultCache
 from repro.runtime.executor import CampaignConfig, run_campaign
 from repro.runtime.jobs import JobSpec, register_job_runner
-from repro.runtime.journal import replay_journal
+from repro.runtime.journal import campaign_fingerprint
+from repro.runtime.shard import replay_shards, shard_root
 
 _CRASH_STATE = {"after": None, "calls": 0}
 
@@ -51,11 +53,10 @@ class TestResume:
         _arm_crash(3)
         with pytest.raises(KeyboardInterrupt):
             run_campaign(specs, config)
-        replay = replay_journal(
-            config.resolved_journal_dir() / next(
-                p.name for p in config.resolved_journal_dir().iterdir()
-            )
+        campaign = campaign_fingerprint(
+            specs, 5, ResultCache(tmp_path / "crashed").calibration
         )
+        replay = replay_shards(shard_root(config.resolved_journal_dir(), campaign))
         assert len(replay.done) == 3
         assert replay.interrupted
         assert replay.finished_runs == 0
@@ -107,9 +108,8 @@ class TestResume:
         _arm_crash(None)
         config = CampaignConfig(cache_dir=tmp_path)
         run_campaign(specs, config)
-        # Remove the journal: resume must still work, via plain cache hits.
-        for path in config.resolved_journal_dir().iterdir():
-            path.unlink()
+        # Remove the journals: resume must still work, via plain cache hits.
+        shutil.rmtree(config.resolved_journal_dir())
         again = run_campaign(specs, config, resume=True)
         assert again.manifest.resumed == 0
         assert again.manifest.cached == 3
@@ -135,8 +135,11 @@ class TestResume:
         result = run_campaign(specs, config)
         manifest = result.manifest
         assert manifest.campaign  # content fingerprint of the job set
-        assert manifest.journal and manifest.journal.endswith(".jsonl")
-        assert manifest.campaign in manifest.journal
+        # The lineage pointer is the campaign's shard-journal directory.
+        assert manifest.journal and Path(manifest.journal).name == manifest.campaign
+        assert sorted(p.name for p in Path(manifest.journal).glob("*.jsonl")) == [
+            "shard-0000.jsonl"
+        ]
         again = run_campaign(specs, config, resume=True)
         assert again.manifest.campaign == manifest.campaign
         assert again.manifest.journal == manifest.journal

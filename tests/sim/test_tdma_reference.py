@@ -10,6 +10,8 @@ lengths near the client count, drop sets and admissions.
 
 import itertools
 
+import pytest
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -110,3 +112,10 @@ def test_with_client_matches_reference(case, weight, extra):
 def test_sequence_weights_keep_their_order():
     pairs = [("z", 1.0), ("a", 2.0), ("m", 2.0), ("b", 0.5)]
     assert_matches_reference(TdmaSchedule(pairs, 16), pairs, 16)
+
+
+def test_sequence_with_a_repeated_name_is_rejected():
+    """A repeated name used to keep its last weight while both weights
+    counted in the total, leaving a slot table shorter than the round."""
+    with pytest.raises(ValueError, match="'a'"):
+        TdmaSchedule([("a", 1.0), ("b", 1.0), ("a", 2.0)], round_packets=12)
